@@ -273,6 +273,9 @@ def cmd_examples(args) -> int:
               f"square identity "
               f"{'ok' if rep['square_identity_zero'] else 'BAD'})",
               file=sys.stderr)
+        if not rep["curve_match"]:
+            print(f"  constructed - recorded curve: {rep['curve_diff']}",
+                  file=sys.stderr)
         for order, diff in rep["companion_diff"]:
             print(f"  constructed - recorded at D^{order}: {diff}",
                   file=sys.stderr)

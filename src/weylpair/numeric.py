@@ -5,7 +5,9 @@ about them (distinctness, the potential-recovery invariant, and the
 coupling between residues and regular parts of the reduction coefficients
 at each pole) are verified numerically in complex double precision.  The
 exact layer has already certified the deep identities; the tolerances
-here only need to absorb floating-point noise.
+here only need to absorb floating-point noise.  Every check fails closed:
+a NaN or infinity in a root or a residual raises ConvergenceError or makes
+the check fail, never pass.
 
 The local coordinate at each pole is z - gamma (the curve's affine
 coordinate), not the global parameter 1/sqrt(z) used at infinity.
@@ -14,6 +16,7 @@ coordinate), not the global parameter 1/sqrt(z) used at infinity.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 from .curve import ParamError, SpectralCurve
@@ -22,7 +25,8 @@ from .qsolver import QPolynomial
 
 
 class ConvergenceError(RuntimeError):
-    """Root iteration failed to converge within the iteration cap."""
+    """Root iteration failed to converge within the iteration cap, or
+    produced a root or residual that is not finite."""
 
 
 class MultipleRootError(RuntimeError):
@@ -48,6 +52,15 @@ def _to_complex_coeffs(p: Poly, var: str = "z") -> list[complex]:
     return out
 
 
+def _worst(values) -> float:
+    """The largest residual, or nan when any residual is not finite; a
+    plain max() skips a NaN that does not come first."""
+    values = list(values)
+    if not all(math.isfinite(v) for v in values):
+        return math.nan
+    return max(values, default=0.0)
+
+
 def _horner(coeffs: list[complex], t: complex) -> complex:
     acc = complex(0.0)
     for c in reversed(coeffs):
@@ -61,7 +74,8 @@ def durand_kerner(coeffs: list[complex], tol: float = 1e-12,
 
     Initial guesses sit on a slightly perturbed circle of the Cauchy
     radius; convergence is declared when every residual |p(z_i)| drops
-    below tol * scale.
+    below tol * scale.  A step, root or residual that is not finite raises
+    ConvergenceError.
     """
     n = len(coeffs) - 1
     if n == 0:
@@ -83,12 +97,15 @@ def durand_kerner(coeffs: list[complex], tol: float = 1e-12,
             if den == 0:
                 den = complex(1e-30)
             step = num / den
+            if not cmath.isfinite(step):
+                raise ConvergenceError(
+                    f"root iteration diverged: step {step} at root {i}")
             zs[i] -= step
             moved = max(moved, abs(step))
         if moved < tol:
             break
-    residual = max(abs(_horner(coeffs, z)) for z in zs)
-    if residual > tol * scale * 100:
+    residual = _worst(abs(_horner(coeffs, z)) for z in zs)
+    if not residual <= tol * scale * 100:
         raise ConvergenceError(
             f"root residual {residual:.3e} above tolerance after "
             f"{max_iter} iterations")
@@ -182,18 +199,18 @@ def verify_potential_recovery(qp: QPolynomial, params: dict | None, x0,
     vq = qp.v.eval({"x": x0}).const_value()
     v_exact = complex(float(vq.numerator) / float(vq.denominator))
     scale = max(1.0, abs(v_exact), max(abs(v) for v in values))
-    pair_res = 0.0
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            pair_res = max(pair_res, abs(values[i] - values[j]) / scale)
-    value_res = max(abs(v - v_exact) for v in values) / scale
+    pair_res = _worst(abs(values[i] - values[j]) / scale
+                      for i in range(len(values))
+                      for j in range(i + 1, len(values)))
+    value_res = _worst(abs(v - v_exact) / scale for v in values)
+    max_res = _worst([pair_res, value_res])
     return {
         "name": "potential_recovery",
         "pairwise_residual": pair_res,
         "value_residual": value_res,
-        "max_residual": max(pair_res, value_res),
+        "max_residual": max_res,
         "tolerance": tol,
-        "pass": max(pair_res, value_res) <= tol,
+        "pass": max_res <= tol,
     }
 
 
@@ -212,7 +229,7 @@ def _match_roots(base: list[complex], moved: list[complex]) -> list[complex]:
                 best, best_d = j, d
         spacing = min((abs(gm - o) for o in base if o is not gm),
                       default=float("inf"))
-        if best_d > 0.45 * spacing:
+        if not best_d <= 0.45 * spacing:
             raise BranchTrackingError(
                 f"ambiguous root pairing: moved {best_d:.3e}, spacing "
                 f"{spacing:.3e}")
@@ -322,8 +339,6 @@ def _krichever_once(qp: QPolynomial, curve: SpectralCurve,
 
     hf = float(h.numerator) / float(h.denominator)
     report_poles = []
-    max_res = 0.0
-    max_c1_res = 0.0
     for i, gamma in enumerate(base.gammas):
         for branch in (1, -1):
             w_ref = branch * base.w_values[i]
@@ -343,12 +358,12 @@ def _krichever_once(qp: QPolynomial, curve: SpectralCurve,
             rel = abs(res) / scale
             c1_rel = (abs(pd.c1 + base.gamma_primes[i])
                       / max(1.0, abs(pd.c1)))
-            max_res = max(max_res, rel)
-            max_c1_res = max(max_c1_res, c1_rel)
             report_poles.append({
                 "pole": i, "branch": branch, "residual": rel,
                 "c1_vs_gamma_prime": c1_rel,
             })
+    max_res = _worst(p["residual"] for p in report_poles)
+    max_c1_res = _worst(p["c1_vs_gamma_prime"] for p in report_poles)
     ok = max_res <= tol and max_c1_res <= 1e-8
     return {
         "name": "krichever_relation",

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .curve import ParamError, SpectralCurve
 from .poly import Poly, Rat
 from .qsolver import QPolynomial, potentials, resolve_alphas
-from .weyl import DiffOp, adjoint, commutator, op_mul, poly_of_op
+from .weyl import DiffOp, anticommutator, commutator, op_mul, poly_of_op
 
 
 class DegreeBoundTooSmallError(RuntimeError):
@@ -100,10 +100,6 @@ def verify_square_identity(pair: OperatorPair) -> DiffOp:
 
 # -- reference closed forms -------------------------------------------------
 
-def _bracket(a: DiffOp, b: DiffOp) -> DiffOp:
-    return op_mul(a, b) + op_mul(b, a)
-
-
 def reference_companion(g: int) -> DiffOp:
     """Known closed forms of the companion operator for the slice
     a1 = a2 = 0, a3 = 1 with symbolic a0, written in terms of
@@ -126,16 +122,16 @@ def reference_companion(g: int) -> DiffOp:
     x2op = DiffOp.from_poly(x**2)
     if g == 2:
         return (h**5
-                + Rat(15, 2) * _bracket(xop, h**3)
-                + 45 * _bracket(x2op, h)
+                + Rat(15, 2) * anticommutator(xop, h**3)
+                + 45 * anticommutator(x2op, h)
                 - 9 * DiffOp.identity())
     if g == 3:
         lin = DiffOp.from_poly(113 * a0 + 287 * x**3)
         return (h**7
-                + 21 * _bracket(xop, h**5)
-                + Rat(945, 2) * _bracket(x2op, h**3)
+                + 21 * anticommutator(xop, h**5)
+                + Rat(945, 2) * anticommutator(x2op, h**3)
                 - 5418 * h**2
-                + Rat(45, 2) * _bracket(lin, h)
+                + Rat(45, 2) * anticommutator(lin, h)
                 - 486 * DiffOp.from_poly(x))
     raise ValueError(f"no reference form recorded for genus {g}")
 
@@ -349,7 +345,3 @@ def is_power_span(basis: list[DiffOp], l4: DiffOp, g: int) -> bool:
         if not in_affine_span(b, zero, powers):
             return False
     return True
-
-
-def is_self_adjoint_pair(pair: OperatorPair) -> tuple[bool, bool]:
-    return (adjoint(pair.l4) == pair.l4, adjoint(pair.m) == pair.m)

@@ -7,22 +7,14 @@ rational-coefficient polynomials in the six variables
 
 where x is the spatial variable, z the spectral variable and a0..a3 the
 potential parameters.  Coefficients are arbitrary-precision rationals
-(gmpy2.mpq when available, fractions.Fraction otherwise), so all arithmetic
-is exact.  Polynomials are immutable; every operation returns a new value.
+(fractions.Fraction), so all arithmetic is exact.  Polynomials are
+immutable; every operation returns a new value.
 """
 
 from __future__ import annotations
 
 import math
-import os
-
-if os.environ.get("WEYLPAIR_NO_GMPY"):
-    from fractions import Fraction as Rat
-else:
-    try:
-        from gmpy2 import mpq as Rat
-    except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-        from fractions import Fraction as Rat
+from fractions import Fraction as Rat
 
 VARS = ("x", "z", "a0", "a1", "a2", "a3")
 NVARS = len(VARS)
@@ -36,6 +28,9 @@ _SHIFT = {v: 16 * (NVARS - 1 - i) for i, v in enumerate(VARS)}
 _FIELD = 0xFFFF
 _EXP_LIMIT = 1 << 15
 _BORROW_MASK = sum(0x8000 << (16 * j) for j in range(NVARS))
+# x holds the top field, so every other variable lives in the bits below it.
+_X_SHIFT = _SHIFT["x"]
+_NON_X = (1 << _X_SHIFT) - 1
 
 
 class NotDivisibleError(ArithmeticError):
@@ -183,6 +178,21 @@ class Poly:
 
     def term_count(self) -> int:
         return len(self.terms)
+
+    def x_terms(self) -> dict | None:
+        """{x-degree: coefficient} when x is the only variable that occurs,
+        else None (returned at the first term that involves another)."""
+        out = {}
+        for k, c in self.terms.items():
+            if k & _NON_X:
+                return None
+            out[k >> _X_SHIFT] = c
+        return out
+
+    @staticmethod
+    def from_x_terms(terms: dict) -> "Poly":
+        """Inverse of x_terms; the coefficients must be nonzero Rats."""
+        return Poly({d << _X_SHIFT: c for d, c in terms.items()})
 
     # -- ring operations ---------------------------------------------------
 

@@ -9,6 +9,7 @@ coefficient lists.
 
 from __future__ import annotations
 
+import math
 import os
 
 from .poly import Poly, Rat, binomial
@@ -146,10 +147,53 @@ def op_mul(a: DiffOp, b: DiffOp) -> DiffOp:
     """Composition a∘b, normalized to coefficients-on-the-left form.
 
     Uses the exchange rule D^n ∘ f = sum_k C(n,k) f^(k) D^(n-k); the order
-    of a nonzero product is order(a) + order(b).
+    of a nonzero product is order(a) + order(b).  Equivalently, in symbol
+    calculus a∘b = sum_k A_k * b^(k), where A_k = sum_i C(i,k) a_i D^(i-k)
+    and b^(k) is b with every coefficient differentiated k times in x.
+
+    When every coefficient of both operands involves x alone (the case
+    after numeric parameters are bound), the product is computed exactly
+    in integers by Kronecker substitution: each operand is cleared to
+    integers over one common denominator, and each A_k and b^(k) is packed
+    into one big int whose slot (o, d) holds the coefficient of x^d D^o.
+    The slots are balanced signed digits of w bits, w a multiple of 8, at
+    index o*stride + d with stride = deg_x(a) + deg_x(b) + 1, so no x-degree
+    of the product reaches the next order's slots.  One int multiply per k
+    and a single unpack of the sum give the product over Da*Db.  Every
+    slot of a product A_k * b^(k) is a sum of products of one entry of
+    each, so its magnitude is at most |A_k|_1 * |b^(k)|_inf, and every
+    slot of the sum at most S = sum_k |A_k|_1 * |b^(k)|_inf over the k with
+    b^(k) != 0.  Both factors of each such term are at least 1 (A_k holds
+    C(na,k) times the leading coefficient of a), so S also bounds every
+    packed entry.  w is the least multiple of 8 with 2^(w-1) > S, so every
+    digit is read back exactly.  Operands with symbolic parameters take
+    the term-by-term loop instead.
     """
     if a.is_zero() or b.is_zero():
         return DiffOp.zero()
+    ax = _x_terms(a)
+    bx = _x_terms(b) if ax is not None else None
+    if bx is None:
+        out = _op_mul_terms(a, b)
+    else:
+        out = _op_mul_kronecker(ax, bx)
+    _check_budget(out)
+    return DiffOp(out)
+
+
+def _x_terms(op: DiffOp) -> list[dict] | None:
+    """Per-order {x-degree: Rat} dicts, or None once a parameter occurs."""
+    out = []
+    for c in op.coeffs:
+        t = c.x_terms()
+        if t is None:
+            return None
+        out.append(t)
+    return out
+
+
+def _op_mul_terms(a: DiffOp, b: DiffOp) -> list[Poly]:
+    """The exchange rule term by term, over any coefficient ring."""
     na, nb = a.order(), b.order()
     # derivs[j][k] = k-th x-derivative of b.coeffs[j]
     derivs: list[list[Poly]] = []
@@ -172,8 +216,87 @@ def op_mul(a: DiffOp, b: DiffOp) -> DiffOp:
                 if cik != 1:
                     term = term * Rat(cik)
                 out[i + j - k] = out[i + j - k] + term
-    _check_budget(out)
-    return DiffOp(out)
+    return out
+
+
+def _clear_denominators(cols: list[dict]) -> tuple[int, list[dict]]:
+    den = math.lcm(*(c.denominator for t in cols for c in t.values()))
+    return den, [{d: c.numerator * (den // c.denominator)
+                  for d, c in t.items()} for t in cols]
+
+
+def _offsets(n: int, wb: int) -> bytes:
+    """n little-endian slots of wb bytes, each holding 2^(8*wb - 1): adding
+    it makes every balanced digit non-negative."""
+    return (b"\0" * (wb - 1) + b"\x80") * n
+
+
+def _pack(slots: dict, n: int, wb: int) -> int:
+    """sum_s slots[s] * 2^(8*wb*s) for |slots[s]| < 2^(8*wb - 1)."""
+    half = 1 << (8 * wb - 1)
+    buf = bytearray(_offsets(n, wb))
+    for s, v in slots.items():
+        buf[s * wb:(s + 1) * wb] = (v + half).to_bytes(wb, "little")
+    packed = int.from_bytes(buf, "little")
+    del buf  # hold few operand-sized copies at once: peak RSS is measured
+    return packed - int.from_bytes(_offsets(n, wb), "little")
+
+
+def _dx(cols: list[dict]) -> list[dict]:
+    return [{d - 1: c * d for d, c in t.items() if d} for t in cols]
+
+
+def _op_mul_kronecker(ax: list[dict], bx: list[dict]) -> list[Poly]:
+    """The product of two x-only operators given as per-order
+    {x-degree: Rat} dicts; see op_mul for the layout and the bound."""
+    da, ai = _clear_denominators(ax)
+    db, bi = _clear_denominators(bx)
+    na, nb = len(ai) - 1, len(bi) - 1
+    stride = (max(max(t, default=0) for t in ai)
+              + max(max(t, default=0) for t in bi) + 1)
+    l1 = [sum(map(abs, t.values())) for t in ai]
+    # b^(k) is derived twice, not stored, to keep peak memory down
+    deriv = bi
+    bound = 0
+    ks = 0  # b^(k) != 0 exactly for k < ks
+    while ks <= na and any(deriv):
+        a_l1 = sum(binomial(i, ks) * l1[i] for i in range(ks, na + 1))
+        bound += a_l1 * max(abs(c) for t in deriv for c in t.values())
+        deriv = _dx(deriv)
+        ks += 1
+    wb = (bound.bit_length() + 8) // 8
+    total = 0
+    b_k = bi
+    for k in range(ks):
+        if k:
+            b_k = _dx(b_k)
+        a_slots = {}
+        for i in range(k, na + 1):
+            cik = binomial(i, k)
+            base = (i - k) * stride
+            for d, c in ai[i].items():
+                a_slots[base + d] = cik * c
+        b_slots = {j * stride + d: c
+                   for j, t in enumerate(b_k) for d, c in t.items()}
+        total += (_pack(a_slots, (na - k + 1) * stride, wb)
+                  * _pack(b_slots, (nb + 1) * stride, wb))
+    n = (na + nb + 1) * stride
+    half = 1 << (8 * wb - 1)
+    empty = _offsets(1, wb)
+    total += int.from_bytes(_offsets(n, wb), "little")
+    buf = total.to_bytes(n * wb, "little")
+    del total
+    den = da * db
+    out = []
+    for o in range(na + nb + 1):
+        terms = {}
+        for d in range(stride):
+            s = (o * stride + d) * wb
+            chunk = buf[s:s + wb]
+            if chunk != empty:
+                terms[d] = Rat(int.from_bytes(chunk, "little") - half, den)
+        out.append(Poly.from_x_terms(terms))
+    return out
 
 
 def commutator(a: DiffOp, b: DiffOp) -> DiffOp:

@@ -146,13 +146,16 @@ def test_examples_reports_match_and_known_gap(capsys):
     assert "DIFFERS" not in err
 
 
+MATCHING_REPORT = {"curve_match": True, "curve_diff": "0",
+                   "companion_match": True, "companion_diff": [],
+                   "commutation_zero": True, "square_identity_zero": True}
+
+
 @pytest.mark.parametrize("field", ["companion_match", "curve_match",
                                    "commutation_zero",
                                    "square_identity_zero"])
 def test_examples_fails_closed(field, monkeypatch, capsys):
-    rep = {"curve_match": True, "curve_diff": "0", "companion_match": True,
-           "companion_diff": [], "commutation_zero": True,
-           "square_identity_zero": True}
+    rep = MATCHING_REPORT
     bad = dict(rep, **{field: False})
     if field == "companion_match":
         bad["companion_diff"] = [(0, "-9")]
@@ -161,6 +164,17 @@ def test_examples_fails_closed(field, monkeypatch, capsys):
     code, out, _ = run_cli(["examples"], capsys)
     assert code == 1
     assert json.loads(out)["2"][field] is False
+
+
+def test_examples_prints_curve_diff(monkeypatch, capsys):
+    bad = dict(MATCHING_REPORT, curve_match=False, curve_diff="27*a0*z^2")
+    monkeypatch.setattr(cli, "match_reference_examples",
+                        lambda: {2: bad, 3: MATCHING_REPORT})
+    code, _, err = run_cli(["examples"], capsys)
+    assert code == 1
+    assert "genus 2: DIFFERS" in err and "genus 3: MATCH" in err
+    assert "  constructed - recorded curve: 27*a0*z^2" in err
+    assert err.count("recorded curve") == 1
 
 
 def test_output_determinism(tmp_path, capsys):

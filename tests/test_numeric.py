@@ -7,9 +7,11 @@ import random
 import numpy as np
 import pytest
 
-from weylpair.numeric import (MultipleRootError, _to_complex_coeffs,
-                              durand_kerner, roots_z, verify_krichever,
-                              verify_potential_recovery)
+from weylpair import numeric
+from weylpair.cli import INTERNAL_ERRORS
+from weylpair.numeric import (ConvergenceError, MultipleRootError,
+                              _to_complex_coeffs, durand_kerner, roots_z,
+                              verify_krichever, verify_potential_recovery)
 from weylpair.poly import Poly, Rat
 from weylpair.qsolver import build_q, extract_curve
 
@@ -160,3 +162,52 @@ def test_krichever_random_tuples(rng):
         curve = extract_curve(qp)
         rep = verify_krichever(qp, curve, None, Rat(5, 4))
         assert rep["pass"], (g, params, rep)
+
+
+# At g = 11 and 12 this tuple drives Durand-Kerner to NaN roots at x0 = 5/2;
+# every NaN guard used to read false there, so both checks passed.
+NAN_TUPLE = {"a0": Rat(3, 2), "a1": Rat(1, 3), "a2": 1, "a3": 2}
+
+
+@pytest.mark.parametrize("g", [11, 12])
+def test_nan_roots_fail_closed(g):
+    qp = build_q(g, NAN_TUPLE)
+    curve = extract_curve(qp)
+    x0 = Rat(5, 2)
+    with pytest.raises(ConvergenceError):
+        roots_z(qp, None, x0)
+    with pytest.raises(ConvergenceError):
+        verify_potential_recovery(qp, None, x0)
+    with pytest.raises(ConvergenceError):
+        verify_krichever(qp, curve, None, x0)
+
+
+def test_durand_kerner_rejects_non_finite_input():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ConvergenceError):
+            durand_kerner([complex(bad), complex(1.0), complex(1.0)])
+
+
+@pytest.mark.parametrize("check", ["recovery", "krichever"])
+def test_nan_root_never_passes(check, monkeypatch):
+    # a NaN root behind the root finder's back: the check must fail or
+    # raise, whichever residual or pairing the NaN reaches first
+    qp = build_q(2, NUMERIC)
+    curve = extract_curve(qp)
+    real_roots_z = numeric.roots_z
+
+    def nan_roots(*args, **kw):
+        rd = real_roots_z(*args, **kw)
+        rd.gammas[0] = complex(math.nan, 0.0)
+        return rd
+
+    monkeypatch.setattr(numeric, "roots_z", nan_roots)
+    try:
+        if check == "recovery":
+            rep = verify_potential_recovery(qp, None, 1)
+        else:
+            rep = verify_krichever(qp, curve, None, 1)
+    except INTERNAL_ERRORS:
+        return
+    assert rep["pass"] is False
+    assert math.isnan(rep["max_residual"])

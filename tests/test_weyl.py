@@ -1,8 +1,13 @@
 """Weyl algebra operators: examples, the composition oracle, and axioms."""
 
-import pytest
+import math
+import random
 
-from weylpair.poly import Poly, Rat
+import pytest
+import sympy
+
+from weylpair import weyl
+from weylpair.poly import Poly, Rat, binomial
 from weylpair.weyl import (DiffOp, TermBudgetError, adjoint, anticommutator,
                            apply_to, commutator, is_self_adjoint, op_mul,
                            poly_of_op)
@@ -164,3 +169,174 @@ def test_term_budget_circuit_breaker(monkeypatch):
         op_mul(big, big)
     monkeypatch.setenv("WEYL_COMMUTE_MAX_TERMS", "100000")
     assert not op_mul(big, big).is_zero()
+
+
+# -- the integer Kronecker kernel against independent oracles ---------------
+
+def schoolbook_op_mul(a: DiffOp, b: DiffOp) -> DiffOp:
+    """The exchange rule applied term by term in Poly arithmetic: op_mul as
+    it was before the integer kernel, kept here as the reference."""
+    if a.is_zero() or b.is_zero():
+        return DiffOp.zero()
+    na, nb = a.order(), b.order()
+    derivs = []
+    for bj in b.coeffs:
+        chain = [bj]
+        for _ in range(na):
+            chain.append(chain[-1].diff("x"))
+        derivs.append(chain)
+    out = [Poly.zero()] * (na + nb + 1)
+    for i, ai in enumerate(a.coeffs):
+        if ai.is_zero():
+            continue
+        for k in range(i + 1):
+            cik = binomial(i, k)
+            for j in range(nb + 1):
+                bjk = derivs[j][k]
+                if bjk.is_zero():
+                    continue
+                term = ai * bjk
+                if cik != 1:
+                    term = term * Rat(cik)
+                out[i + j - k] = out[i + j - k] + term
+    return DiffOp(out)
+
+
+def random_x_op(rng, order, bits, max_deg=6, zero_frac=0.25) -> DiffOp:
+    """A random x-only operator of exactly the given order, with signed
+    numerators and denominators of up to `bits` bits and some zero
+    coefficients below the leading one."""
+    coeffs = []
+    for i in range(order + 1):
+        if i < order and rng.random() < zero_frac:
+            coeffs.append(Poly.zero())
+            continue
+        terms = {}
+        for d in rng.sample(range(max_deg + 1), rng.randint(1, max_deg + 1)):
+            num = rng.randint(-(1 << bits), 1 << bits)
+            if num:
+                terms[d] = Rat(num, rng.randint(1, 1 << bits))
+        coeffs.append(Poly.from_x_terms(terms))
+    if coeffs[-1].is_zero():
+        coeffs[-1] = Poly.one()
+    return DiffOp(coeffs)
+
+
+@pytest.mark.parametrize("bits", [3, 70, 130])
+def test_kronecker_matches_schoolbook_random(bits):
+    rng = random.Random(1000 + bits)
+    for n in range(9):
+        for na, nb in ((n, rng.randint(0, 8)), (rng.randint(0, 8), n)):
+            a = random_x_op(rng, na, bits)
+            b = random_x_op(rng, nb, bits)
+            assert op_mul(a, b) == schoolbook_op_mul(a, b), (na, nb)
+
+
+def test_kronecker_slot_boundaries():
+    # numerators at and across byte and 64-bit boundaries, both signs,
+    # with every product term of one sign so that the slot sums reach
+    # the bound the slot width is taken from
+    rng = random.Random(7)
+    for mag in (1, 127, 128, 255, 256, (1 << 63) - 1, 1 << 63, 1 << 64,
+                (1 << 64) - 1, (1 << 127) + 1):
+        for sign_a in (1, -1):
+            for sign_b in (1, -1):
+                a = DiffOp([Poly.from_x_terms(
+                    {d: Rat(sign_a * mag) for d in range(4)})] * 4)
+                b = DiffOp([Poly.from_x_terms(
+                    {d: Rat(sign_b * mag, 3) for d in range(6)})] * 5)
+                assert op_mul(a, b) == schoolbook_op_mul(a, b)
+                assert op_mul(b, a) == schoolbook_op_mul(b, a)
+        c = random_x_op(rng, 8, 8, zero_frac=0.5)
+        big = DiffOp([Poly.from_x_terms({0: Rat(-mag, mag + 2)})])
+        assert op_mul(big, c) == schoolbook_op_mul(big, c)
+        assert op_mul(c, big) == schoolbook_op_mul(c, big)
+
+
+def test_kronecker_slot_width_at_its_bound():
+    # a = c*D^n and b_j = sum_d (m!/d!) x^d for j <= n: every b^(k) peaks
+    # at m! on x^0, so slot (n, 0) of the product is c*m!*2^n, exactly the
+    # bound sum_k |A_k|_1 * |b^(k)|_inf the slot width is taken from.
+    # Scaling c through 2^0..2^7 moves that bound across every byte
+    # alignment, so a width one bit short, or a bound that drops any k,
+    # misreads the slot.
+    n = m = 8
+    bj = Poly.from_x_terms({d: Rat(math.factorial(m) // math.factorial(d))
+                            for d in range(m + 1)})
+    b = DiffOp([bj] * (n + 1))
+    for sign in (1, -1):
+        for e in range(8):
+            c = sign << e
+            a = DiffOp([Poly.zero()] * n + [Poly.rat(c)])
+            prod = op_mul(a, b)
+            assert prod == schoolbook_op_mul(a, b), c
+            assert prod.coeff(n).x_terms()[0] == c * math.factorial(m) * 2**n
+
+
+def test_kronecker_zero_and_identity_operands():
+    rng = random.Random(11)
+    one = DiffOp.identity()
+    for order in (0, 3, 8):
+        a = random_x_op(rng, order, 70)
+        assert op_mul(a, DiffOp.zero()).is_zero()
+        assert op_mul(DiffOp.zero(), a).is_zero()
+        assert op_mul(a, one) == a
+        assert op_mul(one, a) == a
+        assert op_mul(-a, a) == -schoolbook_op_mul(a, a)
+    assert op_mul(one, one) == one
+    # pure derivatives: constant coefficients, x-degree zero throughout
+    assert op_mul(DiffOp.d(3), DiffOp.d(5)) == DiffOp.d(8)
+
+
+def test_kronecker_matches_sympy_application():
+    # (a∘b)(f) = a(b(f)) for an undetermined function f, computed in sympy
+    xs = sympy.Symbol("x")
+    f = sympy.Function("f")(xs)
+
+    def to_sympy(p: Poly):
+        return sum(sympy.Rational(c.numerator, c.denominator) * xs**d
+                   for d, c in p.x_terms().items())
+
+    def apply(op: DiffOp, expr):
+        return sum(to_sympy(c) * sympy.diff(expr, xs, i)
+                   for i, c in enumerate(op.coeffs))
+
+    rng = random.Random(5)
+    for na, nb in ((1, 1), (3, 2), (2, 4), (4, 3)):
+        a = random_x_op(rng, na, 40, max_deg=3)
+        b = random_x_op(rng, nb, 40, max_deg=3)
+        lhs = apply(op_mul(a, b), f)
+        rhs = apply(a, apply(b, f))
+        assert sympy.expand(lhs - rhs) == 0
+
+
+def forbid(monkeypatch, name):
+    """Make the product path weyl.<name> fail the test if it runs."""
+    def ran(*args):
+        raise AssertionError(f"weyl.{name} ran")
+
+    monkeypatch.setattr(weyl, name, ran)
+
+
+def test_parameter_operands_take_term_loop(monkeypatch):
+    forbid(monkeypatch, "_op_mul_kronecker")
+    rng = random.Random(3)
+    for order in (0, 2, 5):
+        a = random_x_op(rng, order, 70)
+        for b in (H, DiffOp([a0, x, a0 * x**2, Poly.one()])):
+            assert op_mul(a, b) == schoolbook_op_mul(a, b)
+            assert op_mul(b, a) == schoolbook_op_mul(b, a)
+
+
+def test_x_only_operands_take_kernel(monkeypatch):
+    forbid(monkeypatch, "_op_mul_terms")
+    a = random_x_op(random.Random(4), 5, 70)
+    assert op_mul(a, a) == schoolbook_op_mul(a, a)
+
+
+def test_term_budget_on_kernel_path(monkeypatch):
+    forbid(monkeypatch, "_op_mul_terms")
+    monkeypatch.setenv("WEYL_COMMUTE_MAX_TERMS", "3")
+    big = DiffOp([x**3 + x**2 + x + 1, x**2 + 1])
+    with pytest.raises(TermBudgetError):
+        op_mul(big, big)
