@@ -18,11 +18,11 @@ from .numeric import (BranchTrackingError, ConvergenceError,
                       DegenerateDerivativeError, MultipleRootError, PoleData,
                       RootData, durand_kerner, roots_z, verify_krichever,
                       verify_potential_recovery)
-from .pairs import (DegreeBoundTooSmallError, OperatorPair, build_companion,
-                    build_pair, build_quartic, commutant_solve,
-                    in_affine_span, match_reference_examples, operator_diff,
-                    reference_companion, reference_curve_constants,
-                    verify_commutation, verify_square_identity)
+from .pairs import (OperatorPair, build_companion, build_pair, build_quartic,
+                    commutant_solve, in_affine_span, match_reference_examples,
+                    operator_diff, reference_companion,
+                    reference_curve_constants, verify_commutation,
+                    verify_square_identity)
 from .poly import (NotDivisibleError, Poly, Rat, arith, diff, discriminant,
                    evaluate, exact_div, resultant)
 from .qsolver import (DegreeError, NormalizationError, QPolynomial,

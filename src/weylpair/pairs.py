@@ -9,8 +9,10 @@ form from Q(x, z) = sum_j q_j(x) z^j:
 which realizes multiplication by the second curve coordinate w on common
 eigenfunctions.  The certificates below ([L, M] = 0 and M^2 = F(L)) are
 verified by direct Weyl-algebra expansion, so they are independent of the
-derivation of the closed form.  A linear-algebra commutant solver provides
-a second, independent route to M.
+derivation of the closed form.  A commutant solver provides a second,
+independent route to M: it solves [L, M] = 0 from L alone, one coefficient
+of M at a time from the top order down (the Burchnall-Chaundy recursion),
+and finds every monic commuting operator of a given order.
 """
 
 from __future__ import annotations
@@ -18,14 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .curve import ParamError, SpectralCurve
-from .poly import Poly, Rat
+from .poly import Poly, Rat, binomial
 from .qsolver import QPolynomial, potentials, resolve_alphas
 from .weyl import DiffOp, anticommutator, commutator, op_mul, poly_of_op
-
-
-class DegreeBoundTooSmallError(RuntimeError):
-    """The commutant solver's coefficient degree bound excluded a known
-    solution even after escalation."""
 
 
 @dataclass(frozen=True)
@@ -182,11 +179,6 @@ def match_reference_examples() -> dict:
 
 # -- independent commutant solver -------------------------------------------
 
-def _coefficient_bound(order: int, i: int, slack: int) -> int:
-    # weight heuristic: wt(x) = 2, wt(D) = 3 makes D^2 + x^3 homogeneous
-    return (3 * order - 3 * i + 1) // 2 + slack
-
-
 def _nullspace_affine(rows: list[list[Rat]], rhs: list[Rat]):
     """Exact solution set of rows*u = rhs over the rationals.
 
@@ -230,81 +222,125 @@ def _nullspace_affine(rows: list[list[Rat]], rhs: list[Rat]):
     return particular, basis
 
 
-def _op_from_coeffs(order: int, bounds: list[int], u: list[Rat]) -> DiffOp:
-    coeffs = []
-    idx = 0
-    for i in range(order):
-        p = Poly.zero()
-        for d in range(bounds[i] + 1):
-            if u[idx]:
-                p = p + Poly.monomial(u[idx], {"x": d})
-            idx += 1
-        coeffs.append(p)
-    coeffs.append(Poly.one())
-    return DiffOp(coeffs)
+def _affine_map(form: dict, fn) -> dict:
+    """Apply a linear map to every component of an affine form."""
+    out = {}
+    for key, c in form.items():
+        c = fn(c)
+        if not c.is_zero():
+            out[key] = c
+    return out
 
 
-def commutant_solve(l4: DiffOp, order: int, slack: int = 0,
-                    max_escalations: int = 3,
-                    known: DiffOp | None = None):
-    """All monic operators M of the given order with [L, M] = 0, found by
-    exact linear algebra over the rationals.
+def _affine_add(acc: dict, form: dict) -> None:
+    for key, c in form.items():
+        total = acc.get(key, Poly.zero()) + c
+        if total.is_zero():
+            acc.pop(key, None)
+        else:
+            acc[key] = total
 
-    Coefficients are sought with deg_x(u_i) <= ceil((3*order - 3i)/2) +
-    slack, the quasi-homogeneous bound for the cubic-potential family.
+
+def _integrate_x(p: Poly) -> Poly:
+    return Poly.from_x_terms({d + 1: c / (d + 1)
+                              for d, c in p.x_terms().items()})
+
+
+def commutant_solve(l4: DiffOp, order: int, known: DiffOp | None = None):
+    """All monic operators M of the given order with [L, M] = 0, for a
+    monic L of order four with numeric coefficients.
+
+    Write M = D^n + sum_k m_k D^k.  By the Burchnall-Chaundy recursion
+    the D^(k+3) coefficient of [L, M] is 4*m_k' + R_k, where R_k involves
+    only the m_j with j > k (the j = k-1 terms cancel).  R_k must sum
+    over every j > k, not only j <= k+3: in (m_j D^j)(l_i D^i) the term
+    m_j*l_i^(s) reaches D^(i+j-s) for every s up to deg l_i.  Going from
+    k = n-1 down to 0, m_k = -(1/4)*integral(R_k) + c_k with one fresh
+    constant c_k per order, so each m_k is an affine form in the
+    constants: a dict from None (the constant part) and each k' to the
+    polynomial multiplying 1 and c_k'.  The antiderivative of a
+    polynomial is a polynomial, so no degree bound is guessed and the set
+    found is the whole solution set.  What remains, the D^0..D^2
+    coefficients of [L, M], is a linear system in the n constants.
+
     Returns (particular, basis): the affine solution set is particular +
-    span(basis).  If `known` is supplied and falls outside the solution
-    set, the bound is escalated; exhausting the escalations raises
-    DegreeBoundTooSmallError.
+    span(basis).  Raises ValueError when the system is inconsistent.  If
+    `known` is supplied it does not steer the solve; it must lie in the
+    returned set, else ValueError (the set is complete, so a known
+    commuting operator outside it means a defect).  The solver reads only
+    L, never Q or the closed-form companion.
     """
     for c in l4.coeffs:
         for name in ("a0", "a1", "a2", "a3"):
             if c.degree(name) > 0:
                 raise ValueError(
                     "commutant_solve requires numeric parameters")
-    while True:
-        bounds = [_coefficient_bound(order, i, slack) for i in range(order)]
-        unknowns = sum(b + 1 for b in bounds)
-        # residual of the fixed monic part
-        base = commutator(l4, DiffOp.d(order))
-        columns = []
-        for i in range(order):
-            for d in range(bounds[i] + 1):
-                e = DiffOp([Poly.zero()] * i + [Poly.var("x", d) if d else Poly.one()])
-                columns.append(commutator(l4, e))
-        max_order = max([base.order()] + [c.order() for c in columns if not c.is_zero()])
-        max_xdeg = 0
-        for opv in columns + [base]:
-            for c in opv.coeffs:
-                max_xdeg = max(max_xdeg, c.degree("x"))
-        rows = []
-        rhs = []
-        for oi in range(max_order + 1):
-            for xd in range(max_xdeg + 1):
-                row = []
-                for cv in columns:
-                    cf = cv.coeff(oi).coeff_in("x", xd)
-                    row.append(cf.const_value())
-                b = base.coeff(oi).coeff_in("x", xd)
-                if any(row) or not b.is_zero():
-                    rows.append(row)
-                    rhs.append(-b.const_value())
-        solved = _nullspace_affine(rows, rhs) if rows else ([Rat(0)] * unknowns, [])
-        if solved is None:
-            raise DegreeBoundTooSmallError(
-                f"no monic commutant of order {order} within degree bounds")
-        particular_vec, basis_vecs = solved
-        particular = _op_from_coeffs(order, bounds, particular_vec)
-        basis = [_op_from_coeffs(order, bounds, v) - DiffOp.d(order)
-                 for v in basis_vecs]
-        if known is not None and not in_affine_span(known, particular, basis):
-            if slack >= 2 * max_escalations:
-                raise DegreeBoundTooSmallError(
-                    "known companion outside solution space at slack "
-                    f"{slack}")
-            slack += 2
-            continue
-        return particular, basis
+    if l4.order() != 4 or l4.coeff(4) != Poly.one():
+        raise ValueError("commutant_solve requires a monic L of order 4")
+    # l_derivs[i][s] = l_i^(s), for s up to deg l_i
+    l_derivs = []
+    for li in l4.coeffs:
+        ds = [li]
+        while not ds[-1].is_zero():
+            ds.append(ds[-1].diff("x"))
+        l_derivs.append(ds[:-1])
+    # acc[r]: D^r coefficient of [L, sum of the m_j D^j solved so far]
+    acc: list[dict] = [{} for _ in range(order + 4)]
+
+    def add_commutator(j: int, mj: dict) -> None:
+        m_derivs = [mj]
+        for _ in range(4):
+            m_derivs.append(_affine_map(m_derivs[-1],
+                                        lambda c: c.diff("x")))
+        # the s = 0 terms of L*M and M*L cancel, so s starts at 1
+        for i, ds in enumerate(l_derivs):
+            if not ds:
+                continue
+            for s in range(1, i + 1):  # (l_i D^i)(m_j D^j)
+                p = binomial(i, s) * ds[0]
+                _affine_add(acc[i + j - s],
+                            _affine_map(m_derivs[s], lambda c: c * p))
+            for s in range(1, min(j, len(ds) - 1) + 1):  # (m_j D^j)(l_i D^i)
+                p = -binomial(j, s) * ds[s]
+                _affine_add(acc[i + j - s], _affine_map(mj, lambda c: c * p))
+
+    m = [None] * order + [{None: Poly.one()}]
+    add_commutator(order, m[order])
+    for k in range(order - 1, -1, -1):
+        mk = _affine_map(acc[k + 3], lambda c: Rat(-1, 4) * _integrate_x(c))
+        mk[k] = Poly.one()
+        m[k] = mk
+        add_commutator(k, mk)
+    # D^0..D^2: one equation per (order, power of x); a single zero row
+    # when none is left, so that every constant is free
+    rows, rhs = [[Rat(0)] * order], [Rat(0)]
+    for form in acc[:3]:
+        cols = {key: c.x_terms() for key, c in form.items()}
+        for d in sorted(set().union(*cols.values())):
+            rows.append([cols[c].get(d, Rat(0)) if c in cols else Rat(0)
+                         for c in range(order)])
+            rhs.append(-cols.get(None, {}).get(d, Rat(0)))
+    solved = _nullspace_affine(rows, rhs)
+    if solved is None:
+        raise ValueError(
+            f"no monic operator of order {order} commutes with L")
+    particular_vec, basis_vecs = solved
+
+    def assemble(vec, const):
+        coeffs = []
+        for mk in m:
+            p = mk.get(None, Poly.zero()) if const else Poly.zero()
+            for c, u in enumerate(vec):
+                if u and c in mk:
+                    p = p + u * mk[c]
+            coeffs.append(p)
+        return DiffOp(coeffs)
+
+    particular = assemble(particular_vec, True)
+    basis = [assemble(v, False) for v in basis_vecs]
+    if known is not None and not in_affine_span(known, particular, basis):
+        raise ValueError("known operator lies outside the commutant of L")
+    return particular, basis
 
 
 def in_affine_span(op: DiffOp, particular: DiffOp,

@@ -6,14 +6,14 @@ import math
 import pytest
 
 from weylpair.curve import ParamError
-from weylpair.pairs import (DegreeBoundTooSmallError, build_companion,
-                            build_pair, build_quartic, commutant_solve,
-                            in_affine_span, is_power_span,
-                            match_reference_examples, operator_diff,
+from weylpair.pairs import (_nullspace_affine, build_companion, build_pair,
+                            build_quartic, commutant_solve, in_affine_span,
+                            is_power_span, match_reference_examples,
+                            operator_diff, quartic_from_potentials,
                             reference_companion, reference_curve_constants,
                             verify_commutation, verify_square_identity)
 from weylpair.poly import Poly, Rat
-from weylpair.qsolver import build_q
+from weylpair.qsolver import build_q, potentials, resolve_alphas
 from weylpair.weyl import DiffOp, adjoint, commutator, is_self_adjoint, \
     op_mul, poly_of_op
 
@@ -24,6 +24,87 @@ a0 = Poly.var("a0")
 
 SLICE = {"a1": 0, "a2": 0, "a3": 1}
 NUMERIC = {"a0": 1, "a1": 0, "a2": 0, "a3": 1}
+
+
+def _coefficient_bound(order: int, i: int, slack: int) -> int:
+    # weight heuristic: wt(x) = 2, wt(D) = 3 makes D^2 + x^3 homogeneous
+    return (3 * order - 3 * i + 1) // 2 + slack
+
+
+def _op_from_coeffs(order: int, bounds: list[int], u: list[Rat]) -> DiffOp:
+    coeffs = []
+    idx = 0
+    for i in range(order):
+        p = Poly.zero()
+        for d in range(bounds[i] + 1):
+            if u[idx]:
+                p = p + Poly.monomial(u[idx], {"x": d})
+            idx += 1
+        coeffs.append(p)
+    coeffs.append(Poly.one())
+    return DiffOp(coeffs)
+
+
+def dense_commutant_solve(l4: DiffOp, order: int, slack: int = 0,
+                          max_escalations: int = 3,
+                          known: DiffOp | None = None):
+    """Reference oracle for commutant_solve: all monic M of the given order
+    with [L, M] = 0 whose coefficients obey deg_x(u_i) <=
+    ceil((3*order - 3i)/2) + slack, found by one dense exact elimination
+    over every coefficient.  If `known` falls outside the solution set
+    the bound is escalated; exhausting the escalations raises."""
+    while True:
+        bounds = [_coefficient_bound(order, i, slack) for i in range(order)]
+        unknowns = sum(b + 1 for b in bounds)
+        # residual of the fixed monic part
+        base = commutator(l4, DiffOp.d(order))
+        columns = []
+        for i in range(order):
+            for d in range(bounds[i] + 1):
+                e = DiffOp([Poly.zero()] * i
+                           + [Poly.var("x", d) if d else Poly.one()])
+                columns.append(commutator(l4, e))
+        max_order = max([base.order()]
+                        + [c.order() for c in columns if not c.is_zero()])
+        max_xdeg = 0
+        for opv in columns + [base]:
+            for c in opv.coeffs:
+                max_xdeg = max(max_xdeg, c.degree("x"))
+        rows = []
+        rhs = []
+        for oi in range(max_order + 1):
+            for xd in range(max_xdeg + 1):
+                row = []
+                for cv in columns:
+                    cf = cv.coeff(oi).coeff_in("x", xd)
+                    row.append(cf.const_value())
+                b = base.coeff(oi).coeff_in("x", xd)
+                if any(row) or not b.is_zero():
+                    rows.append(row)
+                    rhs.append(-b.const_value())
+        solved = (_nullspace_affine(rows, rhs) if rows
+                  else ([Rat(0)] * unknowns, []))
+        if solved is None:
+            raise RuntimeError(
+                f"no monic commutant of order {order} within degree bounds")
+        particular_vec, basis_vecs = solved
+        particular = _op_from_coeffs(order, bounds, particular_vec)
+        basis = [_op_from_coeffs(order, bounds, v) - DiffOp.d(order)
+                 for v in basis_vecs]
+        if known is not None and not in_affine_span(known, particular, basis):
+            if slack >= 2 * max_escalations:
+                raise RuntimeError("known companion outside solution space "
+                                   f"at slack {slack}")
+            slack += 2
+            continue
+        return particular, basis
+
+
+def perturbed_quartic(g: int, params: dict, shift: int) -> DiffOp:
+    """L with W's coefficient g(g+1) moved to g(g+1) + shift."""
+    v, w = potentials(g, resolve_alphas(params))
+    return quartic_from_potentials(v, w * Rat(g * (g + 1) + shift,
+                                              g * (g + 1)))
 
 
 def test_quartic_canonical_form():
@@ -215,6 +296,50 @@ def test_commutant_solver_order4():
     assert len(basis) == 1
     assert basis[0].order() == 0
     assert in_affine_span(pair.l4, particular, basis)
+
+
+def _same_affine_set(a, b) -> bool:
+    (pa, ba), (pb, bb) = a, b
+    zero = DiffOp.zero()
+    return (len(ba) == len(bb)
+            and in_affine_span(pa, pb, bb) and in_affine_span(pb, pa, ba)
+            and all(in_affine_span(v, zero, bb) for v in ba)
+            and all(in_affine_span(v, zero, ba) for v in bb))
+
+
+def test_commutant_solver_matches_dense_oracle(rng):
+    genus1 = build_pair(1, NUMERIC)
+    cases = [(genus1, 6), (genus1, 4),
+             (build_pair(2, random_param_tuple(rng)), 10)]
+    for pair, order in cases:
+        known = pair.m if order == pair.m.order() else None
+        assert _same_affine_set(commutant_solve(pair.l4, order, known=known),
+                                dense_commutant_solve(pair.l4, order,
+                                                      known=known))
+
+
+@pytest.mark.parametrize("g", [3, 4, 5, 6])
+def test_commutant_solver_high_genus(g, rng):
+    pair = build_pair(g, random_param_tuple(rng))
+    particular, basis = commutant_solve(pair.l4, 4 * g + 2, known=pair.m)
+    assert len(basis) == g + 1
+    assert in_affine_span(pair.m, particular, basis)
+    assert is_power_span(basis, pair.l4, g)
+
+
+@pytest.mark.parametrize("g,shift", [(1, 1), (2, 1), (3, 1), (2, -2),
+                                     (3, -2)])
+def test_commutant_solver_perturbed_w_has_no_companion(g, shift, rng):
+    # at shift -2 and g = 1, W = 0 and (D^2 + V)^3 does commute with L
+    l4 = perturbed_quartic(g, random_param_tuple(rng), shift)
+    with pytest.raises(ValueError, match="no monic operator"):
+        commutant_solve(l4, 4 * g + 2)
+
+
+def test_commutant_solver_rejects_known_outside_set():
+    pair = build_pair(1, NUMERIC)
+    with pytest.raises(ValueError, match="outside"):
+        commutant_solve(pair.l4, 6, known=pair.m + DiffOp.from_poly(x))
 
 
 def test_commutant_solver_rejects_symbolic():
