@@ -11,20 +11,18 @@ nonsingularity of the curve, and the numeric root-level relations.
 """
 
 from .curve import ParamError, SpectralCurve, discriminant_curve, is_nonsingular
-from .curvefun import (ContextMismatchError, CurveContext, CurveFun, cf_arith,
+from .curvefun import (ContextMismatchError, CurveContext, CurveFun,
                        expand_at_infinity, expand_w, expansion_report,
                        reduction_coefficients, reduction_residuals)
-from .numeric import (BranchTrackingError, ConvergenceError,
-                      DegenerateDerivativeError, MultipleRootError, PoleData,
-                      RootData, durand_kerner, roots_z, verify_krichever,
-                      verify_potential_recovery)
+from .numeric import (ConvergenceError, DegenerateDerivativeError,
+                      MultipleRootError, PoleData, RootData, durand_kerner,
+                      roots_z, verify_krichever, verify_potential_recovery)
 from .pairs import (OperatorPair, build_companion, build_pair, build_quartic,
                     commutant_solve, in_affine_span, match_reference_examples,
                     operator_diff, reference_companion,
                     reference_curve_constants, verify_commutation,
                     verify_square_identity)
-from .poly import (NotDivisibleError, Poly, Rat, arith, diff, discriminant,
-                   evaluate, exact_div, resultant)
+from .poly import NotDivisibleError, Poly, Rat, discriminant, resultant
 from .qsolver import (DegreeError, NormalizationError, QPolynomial,
                       RecursionDivisionError, XDependenceError, assemble_q,
                       build_deltas, build_q, curve_identity_residual,

@@ -26,9 +26,9 @@ import time
 from .curve import ParamError, SpectralCurve, is_nonsingular
 from .curvefun import (expand_at_infinity, expansion_report,
                        reduction_coefficients, reduction_residuals)
-from .numeric import (BranchTrackingError, ConvergenceError,
-                      DegenerateDerivativeError, MultipleRootError, roots_z,
-                      verify_krichever, verify_potential_recovery)
+from .numeric import (ConvergenceError, DegenerateDerivativeError,
+                      MultipleRootError, roots_z, verify_krichever,
+                      verify_potential_recovery)
 from .pairs import (OperatorPair, build_pair, match_reference_examples,
                     verify_commutation, verify_square_identity)
 from .weyl import DiffOp, adjoint
@@ -41,7 +41,7 @@ from .qsolver import (DegreeError, NormalizationError, QPolynomial,
 INTERNAL_ERRORS = (NotDivisibleError, RecursionDivisionError,
                    NormalizationError, XDependenceError, DegreeError,
                    ConvergenceError, MultipleRootError,
-                   DegenerateDerivativeError, BranchTrackingError)
+                   DegenerateDerivativeError)
 
 
 def _parse_alpha(text: str) -> dict:

@@ -152,14 +152,6 @@ class CurveFun:
         return f"CurveFun({self})"
 
 
-def cf_arith(u: CurveFun, v: CurveFun, kind: str) -> CurveFun:
-    if kind == "add":
-        return u + v
-    if kind == "mul":
-        return u * v
-    raise ValueError(f"unknown operation {kind!r}")
-
-
 def reduction_coefficients(qp: QPolynomial,
                            curve: SpectralCurve) -> tuple[CurveFun, CurveFun]:
     """The coefficients (u0, u1) of psi'' = u1 psi' + u0 psi:

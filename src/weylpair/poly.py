@@ -455,33 +455,6 @@ def _coerce(value):
     return NotImplemented
 
 
-# -- module-level operation surface ---------------------------------------
-
-def arith(p: Poly, q: Poly, kind: str) -> Poly:
-    """Ring operation dispatch: kind in {add, sub, mul, neg}."""
-    if kind == "add":
-        return p + q
-    if kind == "sub":
-        return p - q
-    if kind == "mul":
-        return p * q
-    if kind == "neg":
-        return -p
-    raise ValueError(f"unknown operation {kind!r}")
-
-
-def diff(p: Poly, var: str) -> Poly:
-    return p.diff(var)
-
-
-def exact_div(p: Poly, d: Poly) -> Poly:
-    return p.exact_div(d)
-
-
-def evaluate(p: Poly, bindings: dict) -> Poly:
-    return p.eval(bindings)
-
-
 def _bareiss_det(mat: list[list[Poly]]) -> Poly:
     """Determinant of a square Poly matrix by fraction-free elimination.
 

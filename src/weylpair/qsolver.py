@@ -247,46 +247,20 @@ def curve_identity_residual(qp: QPolynomial, curve: SpectralCurve) -> Poly:
     return 4 * curve.as_poly() - curve_rhs(qp.q, qp.v, qp.w)
 
 
-def derived_ode_residual(qp: QPolynomial, third_term: str = "derivative",
-                         curvature_sign: int = 1) -> Poly:
+def derived_ode_residual(qp: QPolynomial) -> Poly:
     """Residual of the companion identity d/dx(*) / (2Q):
 
         Q^(5) + 4V Q^(3) + 2Q'(2z - 2W + V'') + 6V' Q'' - 2Q W'.
 
-    third_term="cube" replaces 4V*Q^(3) by the (dimensionally inconsistent)
-    product 4V*Q^3; curvature_sign=-1 flips the sign of the V'' term.
-    Both variants are wrong readings kept for disambiguation tests; the
-    default is the actual x-derivative of (*) divided by 2Q.
+    Only qp.q, qp.v and qp.w are read.
     """
     z = Poly.var("z")
-    q = qp.q
+    q, v, w = qp.q, qp.v, qp.w
     d = _x_derivs(q, 5)
-    if third_term == "derivative":
-        t3 = 4 * qp.v * d[3]
-    elif third_term == "cube":
-        t3 = 4 * qp.v * q**3
-    else:
-        raise ValueError(f"unknown reading {third_term!r}")
-    vxx = qp.v.diff("x").diff("x")
-    res = d[5] + t3
-    res = res + 2 * d[1] * (2 * z - 2 * qp.w + Rat(curvature_sign) * vxx)
-    res = res + 6 * qp.v.diff("x") * d[2]
-    res = res - 2 * q * qp.w.diff("x")
-    return res
-
-
-def companion_identity_gap(q: Poly, v: Poly, w: Poly) -> Poly:
-    """d/dx of curve_rhs minus 2*Q*(companion identity), for arbitrary
-    polynomials Q, V, W.  Identically zero: the companion identity is the
-    exact x-derivative of (*) divided by 2Q, independent of any equation
-    holding."""
-    z = Poly.var("z")
-    d = _x_derivs(q, 5)
-    companion = (d[5] + 4 * v * d[3]
-                 + 2 * d[1] * (2 * z - 2 * w + v.diff("x").diff("x"))
-                 + 6 * v.diff("x") * d[2]
-                 - 2 * q * w.diff("x"))
-    return curve_rhs(q, v, w).diff("x") - 2 * q * companion
+    return (d[5] + 4 * v * d[3]
+            + 2 * d[1] * (2 * z - 2 * w + v.diff("x").diff("x"))
+            + 6 * v.diff("x") * d[2]
+            - 2 * q * w.diff("x"))
 
 
 def trace_identity_residual(qp: QPolynomial, curve: SpectralCurve) -> Poly:

@@ -37,3 +37,20 @@ def random_param_tuple(rng) -> dict:
         a3 = random_rat(rng, -9, 9)
     return {"a0": random_rat(rng, -9, 9), "a1": random_rat(rng, -9, 9),
             "a2": random_rat(rng, -9, 9), "a3": a3}
+
+
+def derived_ode_reading(qp, third_term="derivative", curvature_sign=1) -> Poly:
+    """The companion identity d/dx(*) / (2Q) written out term by term, with
+    two wrong readings for disambiguation tests: third_term="cube" replaces
+    4V*Q^(3) by the dimensionally inconsistent product 4V*Q^3, and
+    curvature_sign=-1 flips the sign of the V'' term."""
+    z = Poly.var("z")
+    d = [qp.q]
+    for _ in range(5):
+        d.append(d[-1].diff("x"))
+    t3 = 4 * qp.v * (qp.q**3 if third_term == "cube" else d[3])
+    vxx = qp.v.diff("x").diff("x")
+    return (d[5] + t3
+            + 2 * d[1] * (2 * z - 2 * qp.w + curvature_sign * vxx)
+            + 6 * qp.v.diff("x") * d[2]
+            - 2 * qp.q * qp.w.diff("x"))

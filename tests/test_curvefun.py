@@ -3,7 +3,7 @@
 import pytest
 
 from weylpair.curvefun import (ContextMismatchError, CurveContext, CurveFun,
-                               cf_arith, expand_at_infinity, expand_w,
+                               expand_at_infinity, expand_w,
                                expansion_report, reduction_coefficients,
                                reduction_residuals)
 from weylpair.pairs import build_quartic
@@ -29,7 +29,7 @@ def make_ctx(g=1, params=SLICE):
 def test_defining_relation():
     ctx, qp, curve = make_ctx()
     w = CurveFun.w(ctx)
-    assert cf_arith(w, w, "mul") == CurveFun.from_poly(ctx, curve.as_poly())
+    assert w * w == CurveFun.from_poly(ctx, curve.as_poly())
 
 
 def test_cancellation_against_q():

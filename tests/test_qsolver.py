@@ -5,12 +5,11 @@ import pytest
 from weylpair.curve import ParamError
 from weylpair.poly import Poly, Rat
 from weylpair.qsolver import (QPolynomial, XDependenceError, assemble_q,
-                              build_deltas, build_q, companion_identity_gap,
-                              curve_identity_residual, curve_rhs,
-                              derived_ode_residual, extract_curve,
+                              build_deltas, build_q, curve_identity_residual,
+                              curve_rhs, derived_ode_residual, extract_curve,
                               q_ode_residual, trace_identity_residual)
 
-from conftest import random_param_tuple, random_poly
+from conftest import derived_ode_reading, random_param_tuple, random_poly
 
 x = Poly.var("x")
 z = Poly.var("z")
@@ -140,20 +139,27 @@ def test_derived_ode_residual_zero():
 def test_derived_ode_cube_reading_fails():
     # disambiguation: the product with Q^3 instead of the third derivative
     # is dimensionally inconsistent and does not vanish
-    assert not derived_ode_residual(build_q(1),
-                                    third_term="cube").is_zero()
-    assert not derived_ode_residual(build_q(2, SLICE),
-                                    third_term="cube").is_zero()
+    assert not derived_ode_reading(build_q(1),
+                                   third_term="cube").is_zero()
+    assert not derived_ode_reading(build_q(2, SLICE),
+                                   third_term="cube").is_zero()
 
 
 def test_derived_ode_flipped_curvature_sign_fails():
     # the V'' term enters with a plus sign; the flipped sign does not vanish
     qp = build_q(1)
-    res = derived_ode_residual(qp, curvature_sign=-1)
+    res = derived_ode_reading(qp, curvature_sign=-1)
     assert not res.is_zero()
     # the gap between the two sign readings is exactly 4 V'' Q'
     vxx = qp.v.diff("x").diff("x")
     assert derived_ode_residual(qp) - res == 4 * vxx * qp.q.diff("x")
+
+
+def companion_identity_gap(q: Poly, v: Poly, w: Poly) -> Poly:
+    """d/dx of curve_rhs minus 2*Q*(companion identity), for arbitrary
+    polynomials Q, V, W, with the library's companion expression."""
+    qp = QPolynomial(g=0, deltas=(), q=q, v=v, w=w, alphas=())
+    return curve_rhs(q, v, w).diff("x") - 2 * q * derived_ode_residual(qp)
 
 
 def test_companion_identity_is_pure_algebra(rng):
