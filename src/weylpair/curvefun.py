@@ -4,8 +4,8 @@ A CurveFun is (A + B*w) / Q^m in the coordinate ring of w^2 = F(z): A and
 B are polynomials in x, z and the parameters, Q is the fixed polynomial of
 the active construction, and w^2 is always rewritten to F.  Since {1, w}
 is a free module basis over the polynomial ring, a CurveFun is zero
-exactly when A = B = 0, and reduction only ever needs exact division by Q;
-no polynomial gcd is required anywhere.
+exactly when A = B = 0, so no division by Q and no polynomial gcd is
+required anywhere.
 
 The module builds the coefficients u0, u1 of the second-order reduction
 
@@ -46,23 +46,20 @@ class CurveContext:
 
 
 class CurveFun:
-    """(A + B*w) / Q^m, kept reduced: for m > 0, Q does not divide both A
-    and B."""
+    """(A + B*w) / Q^m, with no common factor of Q cancelled.
+
+    No operation divides by Q: the representation is not unique, and m
+    only grows.  The zero test needs no reduced form, because {1, w} is a
+    free basis and Q^m is a nonzero polynomial: (A + B*w) / Q^m = 0
+    exactly when A = B = 0, whatever m is.  Equality is the zero test of
+    the difference.
+    """
 
     __slots__ = ("ctx", "a", "b", "m")
 
     def __init__(self, ctx: CurveContext, a: Poly, b: Poly, m: int):
         if m < 0:
             raise ValueError("denominator exponent must be >= 0")
-        q = ctx.q.q
-        while m > 0:
-            qa = a.try_div(q)
-            if qa is None:
-                break
-            qb = b.try_div(q)
-            if qb is None:
-                break
-            a, b, m = qa, qb, m - 1
         self.ctx = ctx
         self.a = a
         self.b = b
@@ -130,10 +127,9 @@ class CurveFun:
         """x-derivative by the quotient rule; w and z are point
         coordinates, constant in x."""
         q = self.ctx.q.q
-        qx = q.diff("x")
-        mm = Rat(self.m)
-        a = self.a.diff("x") * q - mm * qx * self.a
-        b = self.b.diff("x") * q - mm * qx * self.b
+        mqx = self.m * q.diff("x")
+        a = self.a.diff("x") * q - mqx * self.a
+        b = self.b.diff("x") * q - mqx * self.b
         return CurveFun(self.ctx, a, b, self.m + 1)
 
     def sigma(self) -> "CurveFun":

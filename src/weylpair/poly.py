@@ -6,9 +6,12 @@ rational-coefficient polynomials in the six variables
     x, z, a0, a1, a2, a3
 
 where x is the spatial variable, z the spectral variable and a0..a3 the
-potential parameters.  Coefficients are arbitrary-precision rationals
-(fractions.Fraction), so all arithmetic is exact.  Polynomials are
-immutable; every operation returns a new value.
+potential parameters.  A polynomial is stored as integer numerators over
+one positive common denominator (the representation of FLINT's
+fmpq_poly), so the ring arithmetic runs on plain Python ints and all of it
+is exact.  Rationals (fractions.Fraction) appear only at the edges: when a
+polynomial is built from or read back as rational coefficients.
+Polynomials are immutable; every operation returns a new value.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ NVARS = len(VARS)
 # x in the most significant field so that integer comparison of keys equals
 # lexicographic comparison of (e_x, e_z, e_a0, ..., e_a3).  All exponents
 # must stay below 2**15 so that monomial divisibility can be tested with a
-# borrow mask; the degrees arising here are at most a few hundred.
+# borrow mask; the degrees arising here are at most a few hundred.  Adding
+# two keys multiplies the monomials.
 _SHIFT = {v: 16 * (NVARS - 1 - i) for i, v in enumerate(VARS)}
 _FIELD = 0xFFFF
 _EXP_LIMIT = 1 << 15
@@ -68,24 +72,54 @@ def _tdeg(key: int) -> int:
     return t
 
 
+def _glex(key: int) -> tuple[int, int]:
+    return _tdeg(key), key
+
+
 def _divides(dkey: int, rkey: int) -> bool:
     diff = rkey - dkey
     return diff >= 0 and not (diff & _BORROW_MASK)
 
 
-class Poly:
-    """Immutable sparse polynomial: dict from packed exponent key to Rat.
+def _make(terms: dict, den: int) -> "Poly":
+    """The canonical Poly of nonzero int numerators over den > 0."""
+    if not terms:
+        return _ZERO
+    if den != 1:
+        g = math.gcd(den, *terms.values())
+        if g != 1:
+            den //= g
+            terms = {k: c // g for k, c in terms.items()}
+    return Poly(terms, den)
 
-    Zero coefficients are never stored, so structural equality of the term
-    dicts is mathematical equality.  The canonical term order used for
-    printing, serialization and leading-term extraction is graded
-    lexicographic with x > z > a0 > a1 > a2 > a3.
+
+def _from_rats(terms: dict) -> "Poly":
+    """The Poly with rational coefficients {key: Rat}; zeros are skipped."""
+    terms = {k: c for k, c in terms.items() if c}
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    # each c is in lowest terms, so no prime of den divides every numerator
+    return Poly({k: c.numerator * (den // c.denominator)
+                 for k, c in terms.items()}, den)
+
+
+class Poly:
+    """Immutable sparse polynomial: terms maps each packed exponent key to
+    an int numerator, and every coefficient is terms[key] / den.
+
+    The form is canonical: no numerator is zero, den > 0, and
+    gcd(den, every numerator) == 1, so zero is ({}, 1).  Structural
+    equality of (terms, den) is therefore mathematical equality.  The
+    canonical term order used for printing, serialization and
+    leading-term extraction is graded lexicographic with
+    x > z > a0 > a1 > a2 > a3.  The constructor trusts its arguments to be
+    canonical; from_nums normalizes.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "den")
 
-    def __init__(self, terms: dict | None = None):
+    def __init__(self, terms: dict | None = None, den: int = 1):
         self.terms = terms or {}
+        self.den = den
 
     # -- constructors ------------------------------------------------------
 
@@ -100,7 +134,7 @@ class Poly:
     @staticmethod
     def rat(value) -> "Poly":
         c = _rat(value)
-        return Poly({0: c}) if c else _ZERO
+        return Poly({0: c.numerator}, c.denominator) if c else _ZERO
 
     @staticmethod
     def var(name: str, exp: int = 1) -> "Poly":
@@ -110,7 +144,7 @@ class Poly:
             raise ValueError(f"exponent out of range: {exp}")
         if exp == 0:
             return _ONE
-        return Poly({exp << _SHIFT[name]: Rat(1)})
+        return Poly({exp << _SHIFT[name]: 1})
 
     @staticmethod
     def monomial(coeff, exps: dict) -> "Poly":
@@ -121,7 +155,15 @@ class Poly:
         unknown = set(exps) - set(VARS)
         if unknown:
             raise ValueError(f"unknown variables {sorted(unknown)}")
-        return Poly({_pack(vec): c})
+        return Poly({_pack(vec): c.numerator}, c.denominator)
+
+    @staticmethod
+    def from_nums(terms: dict, den: int) -> "Poly":
+        """The polynomial sum_k terms[k]/den * (monomial of key k), for int
+        numerators (zeros allowed) over den > 0; takes ownership of terms."""
+        if not all(terms.values()):
+            terms = {k: c for k, c in terms.items() if c}
+        return _make(terms, den)
 
     # -- predicates and accessors -----------------------------------------
 
@@ -135,7 +177,7 @@ class Poly:
         if not self.terms:
             return Rat(0)
         if len(self.terms) == 1 and 0 in self.terms:
-            return self.terms[0]
+            return Rat(self.terms[0], self.den)
         raise ValueError(f"not a constant: {self}")
 
     def degree(self, var: str | None = None) -> int:
@@ -155,7 +197,7 @@ class Poly:
         for k, c in self.terms.items():
             if (k >> s) & _FIELD == exp:
                 out[k - (exp << s)] = c
-        return Poly(out)
+        return _make(out, self.den)
 
     def coeffs_in(self, var: str) -> list["Poly"]:
         """Dense coefficient list [c_0, ..., c_deg] with respect to var."""
@@ -167,32 +209,46 @@ class Poly:
         for k, c in self.terms.items():
             e = (k >> s) & _FIELD
             buckets[e][k - (e << s)] = c
-        return [Poly(b) for b in buckets]
+        return [_make(b, self.den) for b in buckets]
 
     def leading(self) -> tuple[int, Rat]:
         """(packed key, coefficient) of the graded-lex leading term."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        best = max(self.terms, key=lambda k: (_tdeg(k), k))
-        return best, self.terms[best]
+        best = max(self.terms, key=_glex)
+        return best, Rat(self.terms[best], self.den)
 
     def term_count(self) -> int:
         return len(self.terms)
 
-    def x_terms(self) -> dict | None:
-        """{x-degree: coefficient} when x is the only variable that occurs,
-        else None (returned at the first term that involves another)."""
+    def x_nums(self) -> tuple[dict, int] | None:
+        """({x-degree: numerator}, den) when x is the only variable that
+        occurs, else None (returned at the first term that involves
+        another)."""
         out = {}
         for k, c in self.terms.items():
             if k & _NON_X:
                 return None
             out[k >> _X_SHIFT] = c
-        return out
+        return out, self.den
+
+    @staticmethod
+    def from_x_nums(terms: dict, den: int) -> "Poly":
+        """Inverse of x_nums; the numerators must be nonzero ints."""
+        return _make({d << _X_SHIFT: c for d, c in terms.items()}, den)
+
+    def x_terms(self) -> dict | None:
+        """{x-degree: Rat coefficient} when x is the only variable that
+        occurs, else None."""
+        nums = self.x_nums()
+        if nums is None:
+            return None
+        return {d: Rat(c, self.den) for d, c in nums[0].items()}
 
     @staticmethod
     def from_x_terms(terms: dict) -> "Poly":
-        """Inverse of x_terms; the coefficients must be nonzero Rats."""
-        return Poly({d << _X_SHIFT: c for d, c in terms.items()})
+        """Inverse of x_terms; the coefficients must be Rats."""
+        return _from_rats({d << _X_SHIFT: c for d, c in terms.items()})
 
     # -- ring operations ---------------------------------------------------
 
@@ -205,25 +261,33 @@ class Poly:
             return other
         if not b:
             return self
-        if len(a) < len(b):
-            a, b = b, a
-        out = dict(a)
+        da, db = self.den, other.den
+        if da == db:
+            if len(a) < len(b):
+                a, b = b, a
+            out = dict(a)
+        else:
+            den = math.lcm(da, db)
+            out = {k: c * (den // da) for k, c in a.items()}
+            sb = den // db
+            b = {k: c * sb for k, c in b.items()}
+            da = den
         for k, c in b.items():
             cur = out.get(k)
             if cur is None:
                 out[k] = c
             else:
-                cur = cur + c
+                cur += c
                 if cur:
                     out[k] = cur
                 else:
                     del out[k]
-        return Poly(out)
+        return _make(out, da)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly({k: -c for k, c in self.terms.items()})
+        return Poly({k: -c for k, c in self.terms.items()}, self.den)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -246,20 +310,19 @@ class Poly:
             return _ZERO
         if len(a) > len(b):
             a, b = b, a
-        out: dict = {}
-        for k1, c1 in a.items():
-            for k2, c2 in b.items():
-                k = k1 + k2
-                cur = out.get(k)
-                if cur is None:
-                    out[k] = c1 * c2
-                else:
-                    cur = cur + c1 * c2
-                    if cur:
-                        out[k] = cur
-                    else:
-                        del out[k]
-        return Poly(out)
+        if len(a) == 1:
+            (k1, c1), = a.items()
+            out = {k1 + k: c1 * c for k, c in b.items()}
+        else:
+            out = {}
+            get = out.get
+            for k1, c1 in a.items():
+                for k2, c2 in b.items():
+                    k = k1 + k2
+                    out[k] = get(k, 0) + c1 * c2
+            if not all(out.values()):
+                out = {k: c for k, c in out.items() if c}
+        return _make(out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -279,7 +342,7 @@ class Poly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.terms == other.terms
 
     def __ne__(self, other):
         eq = self.__eq__(other)
@@ -289,7 +352,7 @@ class Poly:
         return bool(self.terms)
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((frozenset(self.terms.items()), self.den))
 
     # -- calculus and substitution ----------------------------------------
 
@@ -303,93 +366,89 @@ class Poly:
             e = (k >> s) & _FIELD
             if e:
                 out[k - (1 << s)] = c * e
-        return Poly(out)
+        return _make(out, self.den)
 
     def eval(self, bindings: dict) -> "Poly":
         """Substitute rational values for a subset of the variables."""
         for name in bindings:
             if name not in _SHIFT:
                 raise ValueError(f"unknown variable {name!r}")
-        vals = {name: _rat(v) for name, v in bindings.items()}
+        if not self.terms:
+            return _ZERO
+        # v = p/q at exponent e of at most top: multiply the numerator by
+        # p^e * q^(top - e) and the denominator by q^top
+        den = self.den
         mask = 0
-        for name in vals:
-            mask |= _FIELD << _SHIFT[name]
+        tables = []
+        for name, v in bindings.items():
+            v = _rat(v)
+            s = _SHIFT[name]
+            mask |= _FIELD << s
+            top = max((k >> s) & _FIELD for k in self.terms)
+            p, q = v.numerator, v.denominator
+            tables.append((s, [p**e * q**(top - e) for e in range(top + 1)]))
+            den *= q**top
         out: dict = {}
         for k, c in self.terms.items():
-            factor = c
-            for name, v in vals.items():
-                e = (k >> _SHIFT[name]) & _FIELD
-                if e:
-                    factor = factor * v**e
-            if not factor:
-                continue
-            nk = k & ~mask
-            cur = out.get(nk)
-            if cur is None:
-                out[nk] = factor
-            else:
-                cur = cur + factor
-                if cur:
-                    out[nk] = cur
-                else:
-                    del out[nk]
-        return Poly(out)
+            for s, pw in tables:
+                c *= pw[(k >> s) & _FIELD]
+            if c:
+                nk = k & ~mask
+                out[nk] = out.get(nk, 0) + c
+        return Poly.from_nums(out, den)
 
     def exact_div(self, d: "Poly") -> "Poly":
-        """Exact quotient self / d; raises NotDivisibleError otherwise."""
+        """Exact quotient self / d; raises NotDivisibleError otherwise.
+
+        Runs on integers only.  Write d = (c/dd) * P with P primitive (the
+        gcd of its numerators is 1).  When P divides the numerator N of
+        self over the rationals, Gauss's lemma makes N/P integral, so
+        every step of the long division divides the remainder's leading
+        numerator exactly by P's; a step that does not is a remainder.
+        """
         if not isinstance(d, Poly):
             d = Poly.rat(d)
         if d.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if not self.terms:
             return _ZERO
-        if d.is_constant():
-            inv = 1 / d.const_value()
-            return Poly({k: c * inv for k, c in self.terms.items()})
         if len(d.terms) == 1:
             (dk, dc), = d.terms.items()
+            f = d.den if dc > 0 else -d.den
             out = {}
             for k, c in self.terms.items():
                 if not _divides(dk, k):
                     raise NotDivisibleError(f"{d} does not divide {self}")
-                out[k - dk] = c / dc
-            return Poly(out)
-        dk, dc = d.leading()
+                out[k - dk] = c * f
+            return _make(out, self.den * abs(dc))
+        cont = math.gcd(*d.terms.values())
+        p = {k: c // cont for k, c in d.terms.items()}
+        dk = max(p, key=_glex)
+        lc = p[dk]
         r = dict(self.terms)
         q: dict = {}
         while r:
-            rk = max(r, key=lambda k: (_tdeg(k), k))
-            if not _divides(dk, rk):
+            rk = max(r, key=_glex)
+            mc, rem = divmod(r[rk], lc)
+            if rem or not _divides(dk, rk):
                 raise NotDivisibleError("no exact quotient exists")
             mk = rk - dk
-            mc = r[rk] / dc
-            q[mk] = mc
-            for k2, c2 in d.terms.items():
+            q[mk] = mc * d.den
+            for k2, c2 in p.items():
                 kk = mk + k2
-                cur = r.get(kk)
-                if cur is None:
-                    r[kk] = -mc * c2
+                cur = r.get(kk, 0) - mc * c2
+                if cur:
+                    r[kk] = cur
                 else:
-                    cur = cur - mc * c2
-                    if cur:
-                        r[kk] = cur
-                    else:
-                        del r[kk]
-        return Poly(q)
-
-    def try_div(self, d: "Poly"):
-        """Exact quotient, or None when division leaves a remainder."""
-        try:
-            return self.exact_div(d)
-        except NotDivisibleError:
-            return None
+                    del r[kk]
+        return _make(q, self.den * cont)
 
     # -- presentation ------------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Rat]]:
         """Terms in descending graded-lex order, with unpacked exponents."""
-        keys = sorted(self.terms, key=lambda k: (_tdeg(k), k), reverse=True)
-        return [(_unpack(k), self.terms[k]) for k in keys]
+        keys = sorted(self.terms, key=_glex, reverse=True)
+        return [(_unpack(k), Rat(self.terms[k], self.den)) for k in keys]
 
     def __str__(self):
         if not self.terms:
@@ -440,11 +499,11 @@ class Poly:
             if c:
                 key = _pack(e)
                 out[key] = out.get(key, Rat(0)) + c
-        return Poly({k: c for k, c in out.items() if c})
+        return _from_rats(out)
 
 
 _ZERO = Poly({})
-_ONE = Poly({0: Rat(1)})
+_ONE = Poly({0: 1})
 
 
 def _coerce(value):

@@ -143,17 +143,22 @@ class LaurentSeries:
 
     def sqrt(self) -> "LaurentSeries":
         """Square root of a series 1 + O(k); coefficientwise Newton
-        recurrence, exact over the rationals."""
+        recurrence, exact over the rationals.  The convolution
+        sum_{i=1}^{m-1} out[i]*out[m-i] is symmetric in i <-> m-i, so it is
+        twice the sum over i < m/2, plus the middle square for even m."""
         if self.val != 0 or self.coeffs[0] != Poly.one():
             raise ValueError("sqrt requires a series of the form 1 + O(k)")
         n = len(self.coeffs)
         half = Rat(1, 2)
         out = [Poly.one()]
         for m in range(1, n):
-            acc = self.coeffs[m]
-            for i in range(1, m):
-                acc = acc - out[i] * out[m - i]
-            out.append(acc * half)
+            acc = Poly.zero()
+            for i in range(1, (m + 1) // 2):
+                acc = acc + out[i] * out[m - i]
+            acc = acc + acc
+            if m % 2 == 0:
+                acc = acc + out[m // 2] * out[m // 2]
+            out.append((self.coeffs[m] - acc) * half)
         return LaurentSeries(0, out, n)
 
     # -- comparison and presentation ----------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import os
 
-from .poly import Poly, Rat, binomial
+from .poly import Poly, binomial
 
 
 class TermBudgetError(RuntimeError):
@@ -153,26 +153,26 @@ def op_mul(a: DiffOp, b: DiffOp) -> DiffOp:
 
     When every coefficient of both operands involves x alone (the case
     after numeric parameters are bound), the product is computed exactly
-    in integers by Kronecker substitution: each operand is cleared to
-    integers over one common denominator, and each A_k and b^(k) is packed
-    into one big int whose slot (o, d) holds the coefficient of x^d D^o.
-    The slots are balanced signed digits of w bits, w a multiple of 8, at
-    index o*stride + d with stride = deg_x(a) + deg_x(b) + 1, so no x-degree
-    of the product reaches the next order's slots.  One int multiply per k
-    and a single unpack of the sum give the product over Da*Db.  Every
-    slot of a product A_k * b^(k) is a sum of products of one entry of
-    each, so its magnitude is at most |A_k|_1 * |b^(k)|_inf, and every
-    slot of the sum at most S = sum_k |A_k|_1 * |b^(k)|_inf over the k with
-    b^(k) != 0.  Both factors of each such term are at least 1 (A_k holds
-    C(na,k) times the leading coefficient of a), so S also bounds every
-    packed entry.  w is the least multiple of 8 with 2^(w-1) > S, so every
-    digit is read back exactly.  Operands with symbolic parameters take
-    the term-by-term loop instead.
+    in integers by Kronecker substitution: the numerators of each operand
+    are brought over its one lcm denominator, and each A_k and b^(k) is
+    packed into one big int whose slot (o, d) holds the coefficient of
+    x^d D^o.  The slots are balanced signed digits of w bits, w a multiple
+    of 8, at index o*stride + d with stride = deg_x(a) + deg_x(b) + 1, so
+    no x-degree of the product reaches the next order's slots.  One int
+    multiply per k and a single unpack of the sum give the product over
+    Da*Db.  Every slot of a product A_k * b^(k) is a sum of products of one
+    entry of each, so its magnitude is at most |A_k|_1 * |b^(k)|_inf, and
+    every slot of the sum at most S = sum_k |A_k|_1 * |b^(k)|_inf over the
+    k with b^(k) != 0.  Both factors of each such term are at least 1 (A_k
+    holds C(na,k) times the leading coefficient of a), so S also bounds
+    every packed entry.  w is the least multiple of 8 with 2^(w-1) > S, so
+    every digit is read back exactly.  Operands with symbolic parameters
+    take the term-by-term loop instead.
     """
     if a.is_zero() or b.is_zero():
         return DiffOp.zero()
-    ax = _x_terms(a)
-    bx = _x_terms(b) if ax is not None else None
+    ax = _x_nums(a)
+    bx = _x_nums(b) if ax is not None else None
     if bx is None:
         out = _op_mul_terms(a, b)
     else:
@@ -181,48 +181,64 @@ def op_mul(a: DiffOp, b: DiffOp) -> DiffOp:
     return DiffOp(out)
 
 
-def _x_terms(op: DiffOp) -> list[dict] | None:
-    """Per-order {x-degree: Rat} dicts, or None once a parameter occurs."""
+def _x_nums(op: DiffOp) -> list[tuple[dict, int]] | None:
+    """Per-order ({x-degree: numerator}, den), or None once a parameter
+    occurs."""
     out = []
     for c in op.coeffs:
-        t = c.x_terms()
+        t = c.x_nums()
         if t is None:
             return None
         out.append(t)
     return out
 
 
+def _over(nums: dict, d: int, den: int) -> dict:
+    """Numerators over d, rescaled to den, a multiple of d."""
+    return nums if d == den else {k: c * (den // d) for k, c in nums.items()}
+
+
 def _op_mul_terms(a: DiffOp, b: DiffOp) -> list[Poly]:
-    """The exchange rule term by term, over any coefficient ring."""
+    """The exchange rule term by term, over any coefficient ring.  Both
+    operands are read as int numerators over one denominator each (every
+    x-derivative of b_j has a denominator dividing b_j's), and each output
+    order is one int dict over Da*Db, normalized once."""
     na, nb = a.order(), b.order()
-    # derivs[j][k] = k-th x-derivative of b.coeffs[j]
-    derivs: list[list[Poly]] = []
+    da = math.lcm(*(c.den for c in a.coeffs))
+    db = math.lcm(*(c.den for c in b.coeffs))
+    # derivs[j][k] = numerators of the k-th x-derivative of b.coeffs[j]
+    derivs: list[list[dict]] = []
     for bj in b.coeffs:
         chain = [bj]
         for _ in range(na):
             chain.append(chain[-1].diff("x"))
-        derivs.append(chain)
-    out = [Poly.zero()] * (na + nb + 1)
+        derivs.append([_over(c.terms, c.den, db) for c in chain])
+    out: list[dict] = [{} for _ in range(na + nb + 1)]
     for i, ai in enumerate(a.coeffs):
         if ai.is_zero():
             continue
+        an = _over(ai.terms, ai.den, da)
         for k in range(i + 1):
             cik = binomial(i, k)
+            ank = an if cik == 1 else {k1: c1 * cik for k1, c1 in an.items()}
             for j in range(nb + 1):
                 bjk = derivs[j][k]
-                if bjk.is_zero():
+                if not bjk:
                     continue
-                term = ai * bjk
-                if cik != 1:
-                    term = term * Rat(cik)
-                out[i + j - k] = out[i + j - k] + term
-    return out
+                acc = out[i + j - k]
+                get = acc.get
+                for k1, c1 in ank.items():
+                    for k2, c2 in bjk.items():
+                        kk = k1 + k2
+                        acc[kk] = get(kk, 0) + c1 * c2
+    den = da * db
+    return [Poly.from_nums(t, den) for t in out]
 
 
-def _clear_denominators(cols: list[dict]) -> tuple[int, list[dict]]:
-    den = math.lcm(*(c.denominator for t in cols for c in t.values()))
-    return den, [{d: c.numerator * (den // c.denominator)
-                  for d, c in t.items()} for t in cols]
+def _clear_denominators(
+        cols: list[tuple[dict, int]]) -> tuple[int, list[dict]]:
+    den = math.lcm(*(d for _, d in cols))
+    return den, [_over(t, d, den) for t, d in cols]
 
 
 def _offsets(n: int, wb: int) -> bytes:
@@ -246,9 +262,11 @@ def _dx(cols: list[dict]) -> list[dict]:
     return [{d - 1: c * d for d, c in t.items() if d} for t in cols]
 
 
-def _op_mul_kronecker(ax: list[dict], bx: list[dict]) -> list[Poly]:
+def _op_mul_kronecker(ax: list[tuple[dict, int]],
+                      bx: list[tuple[dict, int]]) -> list[Poly]:
     """The product of two x-only operators given as per-order
-    {x-degree: Rat} dicts; see op_mul for the layout and the bound."""
+    ({x-degree: numerator}, den) pairs; see op_mul for the layout and the
+    bound."""
     da, ai = _clear_denominators(ax)
     db, bi = _clear_denominators(bx)
     na, nb = len(ai) - 1, len(bi) - 1
@@ -294,8 +312,8 @@ def _op_mul_kronecker(ax: list[dict], bx: list[dict]) -> list[Poly]:
             s = (o * stride + d) * wb
             chunk = buf[s:s + wb]
             if chunk != empty:
-                terms[d] = Rat(int.from_bytes(chunk, "little") - half, den)
-        out.append(Poly.from_x_terms(terms))
+                terms[d] = int.from_bytes(chunk, "little") - half
+        out.append(Poly.from_x_nums(terms, den))
     return out
 
 
@@ -319,7 +337,7 @@ def adjoint(a: DiffOp) -> DiffOp:
         sign = -1 if i % 2 else 1
         dk = ci
         for k in range(i + 1):
-            term = dk * Rat(sign * binomial(i, k))
+            term = dk * (sign * binomial(i, k))
             out[i - k] = out[i - k] + term
             dk = dk.diff("x")
     return DiffOp(out)

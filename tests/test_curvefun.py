@@ -46,6 +46,20 @@ def test_u1_times_q_is_q_prime():
     assert u1 * qfun == CurveFun.from_poly(ctx, qp.q.diff("x"))
 
 
+def test_uncancelled_q_factor_is_equal(rng):
+    # no operation divides by Q, so equality must see through a common
+    # factor of Q that was never cancelled
+    ctx, qp, _ = make_ctx(2)
+    for _ in range(20):
+        a = random_poly(rng, vars=("x", "z"), max_exp=2, n_terms=3)
+        b = random_poly(rng, vars=("x", "z"), max_exp=1, n_terms=2)
+        m = rng.randint(0, 2)
+        lazy = CurveFun(ctx, a * qp.q, b * qp.q, m + 1)
+        assert lazy == CurveFun(ctx, a, b, m)
+        assert lazy != CurveFun(ctx, a + 1, b, m)
+        assert (lazy - CurveFun(ctx, a, b, m)).is_zero()
+
+
 def test_context_mismatch_raises():
     ctx1, _, _ = make_ctx(1)
     ctx2, _, _ = make_ctx(2)

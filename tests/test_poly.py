@@ -1,9 +1,11 @@
 """Core polynomial ring: examples, axioms, and the resultant machinery."""
 
 import json
+import math
 import random
 
 import pytest
+import sympy
 
 from weylpair.poly import (NotDivisibleError, Poly, Rat, discriminant,
                            resultant)
@@ -165,3 +167,157 @@ def test_rationals_stay_exact():
     third = Poly.rat(Rat(1, 3))
     assert third * 3 == Poly.one()
     assert (third + third + third) == Poly.one()
+
+
+# -- the numerator/denominator representation ------------------------------
+
+ALL = ("x", "z", "a0", "a1", "a2", "a3")
+GENS = sympy.symbols(ALL)
+
+
+def big_poly(rng, vars=ALL, max_exp=2, n_terms=5, bits=64) -> Poly:
+    """Signed numerators and denominators of up to `bits` bits."""
+    p = Poly.zero()
+    for _ in range(n_terms):
+        c = Rat(rng.randint(-(1 << bits), 1 << bits),
+                rng.randint(1, 1 << bits))
+        p = p + Poly.monomial(c, {v: rng.randint(0, max_exp) for v in vars})
+    return p
+
+
+def to_sympy(p: Poly) -> sympy.Poly:
+    return sympy.Poly.from_dict(
+        {exps: sympy.Rational(c.numerator, c.denominator)
+         for exps, c in p.sorted_terms()}, *GENS, domain="QQ")
+
+
+def from_sympy(s) -> dict:
+    s = sympy.Poly(s, *GENS, domain="QQ")
+    return {exps: Rat(int(c.p), int(c.q)) for exps, c in s.terms() if c}
+
+
+def as_dict(p: Poly) -> dict:
+    assert_canonical(p)
+    return dict(p.sorted_terms())
+
+
+def assert_canonical(p: Poly) -> None:
+    assert p.den > 0
+    assert all(isinstance(c, int) and c for c in p.terms.values())
+    if p.is_zero():
+        assert p.den == 1
+    else:
+        assert math.gcd(p.den, *p.terms.values()) == 1
+
+
+def big_pairs(seed, n=25, **kw):
+    rng = random.Random(seed)
+    for i in range(n):
+        p, q = big_poly(rng, **kw), big_poly(rng, **kw)
+        if i % 5 == 0:
+            q = q - p  # p + q cancels every term of p
+        yield p, q
+
+
+def test_ring_ops_match_sympy():
+    for p, q in big_pairs(1):
+        sp, sq = to_sympy(p), to_sympy(q)
+        assert as_dict(p + q) == from_sympy(sp + sq)
+        assert as_dict(p - q) == from_sympy(sp - sq)
+        assert as_dict(q - q) == {}
+        assert as_dict(p * q) == from_sympy(sp * sq)
+        assert as_dict(-p) == from_sympy(-sp)
+
+
+def test_sums_cancelling_to_zero_are_canonical_zero():
+    for p, q in big_pairs(2):
+        s = (p + q) - q - p
+        assert as_dict(s) == {}
+        assert s == Poly.zero() and hash(s) == hash(Poly.zero())
+    # equal denominators whose sum cancels them
+    half = Poly.rat(Rat(1, 2)) * x
+    assert (half + half).den == 1 and half + half == x
+
+
+def test_pow_matches_sympy():
+    rng = random.Random(3)
+    for _ in range(8):
+        p = big_poly(rng, n_terms=3)
+        for n in range(4):
+            assert as_dict(p**n) == from_sympy(to_sympy(p) ** n)
+
+
+def test_diff_and_coeffs_in_match_sympy():
+    for p, _ in big_pairs(4, max_exp=3):
+        sp = to_sympy(p)
+        for i, v in enumerate(("x", "z")):
+            assert as_dict(p.diff(v)) == from_sympy(sp.diff(GENS[i]))
+        for i, v in enumerate(ALL):
+            expect = {}
+            for exps, c in from_sympy(sp).items():
+                e = list(exps)
+                expect.setdefault(e[i], {})[tuple(e[:i] + [0] + e[i + 1:])] = c
+            got = p.coeffs_in(v)
+            assert len(got) == (max(expect) + 1 if expect else 0)
+            for e, c in enumerate(got):
+                assert as_dict(c) == expect.get(e, {})
+                assert c == p.coeff_in(v, e)
+
+
+def test_exact_div_matches_sympy():
+    rng = random.Random(5)
+    for i in range(30):
+        p = big_poly(rng, vars=("x", "z", "a0"), n_terms=4)
+        d = big_poly(rng, vars=("x", "z", "a0"), n_terms=1 + i % 3)
+        if d.is_zero():
+            continue
+        prod = p * d
+        assert as_dict(prod.exact_div(d)) == from_sympy(
+            sympy.div(to_sympy(prod), to_sympy(d))[0])
+        quo, rem = sympy.div(to_sympy(p), to_sympy(d))
+        if rem.is_zero:
+            assert as_dict(p.exact_div(d)) == from_sympy(quo)
+        else:
+            with pytest.raises(NotDivisibleError):
+                p.exact_div(d)
+
+
+def test_eval_matches_sympy():
+    rng = random.Random(6)
+    for p, _ in big_pairs(6, max_exp=3):
+        names = rng.sample(ALL, rng.randint(1, 3))
+        vals = {v: Rat(rng.randint(-(1 << 64), 1 << 64),
+                       rng.randint(1, 1 << 64)) for v in names}
+        vals[names[0]] = Rat(0) if rng.random() < 0.3 else vals[names[0]]
+        expect = to_sympy(p).as_expr().subs(
+            {GENS[ALL.index(v)]: sympy.Rational(c.numerator, c.denominator)
+             for v, c in vals.items()})
+        assert as_dict(p.eval(vals)) == from_sympy(expect)
+
+
+def test_resultant_matches_sympy():
+    rng = random.Random(7)
+    for _ in range(6):
+        p = big_poly(rng, vars=("x", "z", "a0"), n_terms=3, bits=20) + z**2
+        q = big_poly(rng, vars=("x", "z", "a0"), n_terms=3, bits=20) + z
+        r = resultant(p, q, "z")
+        expect = sympy.resultant(to_sympy(p).as_expr(), to_sympy(q).as_expr(),
+                                 GENS[1])
+        assert as_dict(r) == from_sympy(expect)
+
+
+def test_rat_is_canonical():
+    assert Poly.rat(Rat(2, 4)) == Poly.rat(Rat(1, 2))
+    assert Poly.rat(Rat(2, 4)).den == 2
+    assert Poly.rat(Rat(-3, 6)).terms == {0: -1}
+    assert Poly.zero().den == 1 and Poly.rat(0).den == 1
+    assert (x * Rat(1, 3) - x * Rat(1, 3)).den == 1
+
+
+def test_exact_div_roundtrip_keeps_hash():
+    for p, q in big_pairs(8, n=20):
+        if q.is_zero():
+            continue
+        back = (p * q).exact_div(q)
+        assert back == p and hash(back) == hash(p)
+        assert_canonical(back)

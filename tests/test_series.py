@@ -91,6 +91,18 @@ def test_sqrt_with_poly_coefficients():
     assert (r * r).same_up_to_trunc(s)
 
 
+def test_sqrt_with_odd_powers(rng):
+    # every power of k occurs, so both the paired products of the
+    # convolution and the middle square of even orders are exercised
+    for trunc in (2, 3, 8, 11):
+        pairs = [(0, 1)] + [(n, random_poly(rng, vars=("x",), n_terms=2))
+                            for n in range(1, trunc)]
+        s = series_of(pairs, trunc)
+        r = s.sqrt()
+        assert r.coeff(0) == Poly.one()
+        assert (r * r).same_up_to_trunc(s)
+
+
 def test_series_from_poly():
     p = z**2 + x * z + 3
     s = series_from_poly(p, 2)

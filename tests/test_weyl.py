@@ -340,3 +340,43 @@ def test_term_budget_on_kernel_path(monkeypatch):
     big = DiffOp([x**3 + x**2 + x + 1, x**2 + 1])
     with pytest.raises(TermBudgetError):
         op_mul(big, big)
+
+
+@pytest.mark.parametrize("path,other", [("kernel", Poly.one()), ("terms", a0)])
+def test_product_denominators_cancel_completely(monkeypatch, path, other):
+    # (3/2)(x + D) ∘ (2/3)(x + c) = (x + D)(x + c): Da*Db = 6 cancels in
+    # every coefficient, so each one comes back over den 1
+    forbid(monkeypatch, "_op_mul_terms" if path == "kernel"
+           else "_op_mul_kronecker")
+    a = DiffOp([Rat(3, 2) * x, Poly.rat(Rat(3, 2))])
+    b = DiffOp([Rat(2, 3) * (x + other)])
+    assert a.coeff(0).den == 2 and b.coeff(0).den == 3
+    prod = op_mul(a, b)
+    assert prod == DiffOp([x**2 + other * x + 1, x + other])
+    assert all(c.den == 1 for c in prod.coeffs)
+
+
+def random_param_op(rng, order, bits) -> DiffOp:
+    """A random operator whose coefficients involve x, a0 and a1, with
+    signed numerators and denominators of up to `bits` bits."""
+    coeffs = []
+    for _ in range(order + 1):
+        p = Poly.zero()
+        for _ in range(rng.randint(0, 4)):
+            c = Rat(rng.randint(-(1 << bits), 1 << bits),
+                    rng.randint(1, 1 << bits))
+            p = p + Poly.monomial(c, {v: rng.randint(0, 3)
+                                      for v in ("x", "a0", "a1")})
+        coeffs.append(p)
+    coeffs[-1] = coeffs[-1] + a0  # a parameter occurs, and the order holds
+    return DiffOp(coeffs)
+
+
+def test_term_loop_matches_schoolbook_random(monkeypatch):
+    forbid(monkeypatch, "_op_mul_kronecker")
+    rng = random.Random(21)
+    for na, nb in ((0, 3), (2, 2), (3, 1), (4, 4)):
+        a = random_param_op(rng, na, 64)
+        b = random_param_op(rng, nb, 64)
+        assert op_mul(a, b) == schoolbook_op_mul(a, b)
+        assert op_mul(a, -a) == -schoolbook_op_mul(a, a)
