@@ -7,7 +7,7 @@ it, extracts the hyperelliptic spectral curve w^2 = F(z) the pair lies on,
 and machine-verifies every identity involved: the defining ODE of Q, the
 curve identity, the second-order eigenfunction reduction, the series
 expansions at infinity, commutation, the square identity M^2 = F(L), the
-nonsingularity of the curve, and the numeric root-level relations.
+nonsingularity of the curve, and the relations at the roots of Q.
 """
 
 from .curve import ParamError, SpectralCurve, discriminant_curve, is_nonsingular
@@ -15,7 +15,7 @@ from .curvefun import (ContextMismatchError, CurveContext, CurveFun,
                        expand_at_infinity, expand_w, expansion_report,
                        reduction_coefficients, reduction_residuals)
 from .numeric import (ConvergenceError, DegenerateDerivativeError,
-                      MultipleRootError, PoleData, RootData, durand_kerner,
+                      MultipleRootError, RootData, durand_kerner,
                       roots_z, verify_krichever, verify_potential_recovery)
 from .pairs import (OperatorPair, build_companion, build_pair, build_quartic,
                     commutant_solve, in_affine_span, match_reference_examples,

@@ -17,6 +17,7 @@ and finds every monic commuting operator of a given order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .curve import ParamError, SpectralCurve
@@ -242,8 +243,10 @@ def _affine_add(acc: dict, form: dict) -> None:
 
 
 def _integrate_x(p: Poly) -> Poly:
-    return Poly.from_x_terms({d + 1: c / (d + 1)
-                              for d, c in p.x_terms().items()})
+    nums, den = p.x_nums()
+    lcm = math.lcm(*(d + 1 for d in nums))
+    return Poly.from_x_nums({d + 1: c * (lcm // (d + 1))
+                             for d, c in nums.items()}, den * lcm)
 
 
 def commutant_solve(l4: DiffOp, order: int, known: DiffOp | None = None):
@@ -315,7 +318,10 @@ def commutant_solve(l4: DiffOp, order: int, known: DiffOp | None = None):
     # when none is left, so that every constant is free
     rows, rhs = [[Rat(0)] * order], [Rat(0)]
     for form in acc[:3]:
-        cols = {key: c.x_terms() for key, c in form.items()}
+        cols = {}
+        for key, c in form.items():
+            nums, den = c.x_nums()
+            cols[key] = {d: Rat(n, den) for d, n in nums.items()}
         for d in sorted(set().union(*cols.values())):
             rows.append([cols[c].get(d, Rat(0)) if c in cols else Rat(0)
                          for c in range(order)])

@@ -17,6 +17,7 @@ Polynomials are immutable; every operation returns a new value.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction as Rat
 
 VARS = ("x", "z", "a0", "a1", "a2", "a3")
@@ -236,19 +237,6 @@ class Poly:
     def from_x_nums(terms: dict, den: int) -> "Poly":
         """Inverse of x_nums; the numerators must be nonzero ints."""
         return _make({d << _X_SHIFT: c for d, c in terms.items()}, den)
-
-    def x_terms(self) -> dict | None:
-        """{x-degree: Rat coefficient} when x is the only variable that
-        occurs, else None."""
-        nums = self.x_nums()
-        if nums is None:
-            return None
-        return {d: Rat(c, self.den) for d, c in nums[0].items()}
-
-    @staticmethod
-    def from_x_terms(terms: dict) -> "Poly":
-        """Inverse of x_terms; the coefficients must be Rats."""
-        return _from_rats({d << _X_SHIFT: c for d, c in terms.items()})
 
     # -- ring operations ---------------------------------------------------
 
@@ -514,62 +502,74 @@ def _coerce(value):
     return NotImplemented
 
 
-def _bareiss_det(mat: list[list[Poly]]) -> Poly:
-    """Determinant of a square Poly matrix by fraction-free elimination.
+def _bareiss_det(mat: list[list], div) -> object:
+    """Determinant of a square matrix of ints or of Polys, n >= 2, by
+    fraction-free (Bareiss) elimination.
 
-    Every division in the Bareiss recurrence is exact over an integral
-    domain, so the computation stays inside the polynomial ring.
+    div(a, b) is the exact quotient a / b; every division in the Bareiss
+    recurrence is exact over an integral domain, so the computation stays
+    inside the ring of the entries.
     """
     n = len(mat)
-    if n == 0:
-        return Poly.one()
     m = [row[:] for row in mat]
     sign = 1
-    prev = Poly.one()
+    prev = None
     for k in range(n - 1):
-        if m[k][k].is_zero():
-            pivot_row = next(
-                (i for i in range(k + 1, n) if not m[i][k].is_zero()), None)
+        if not m[k][k]:
+            pivot_row = next((i for i in range(k + 1, n) if m[i][k]), None)
             if pivot_row is None:
-                return Poly.zero()
+                return m[k][k]  # a zero of the entries' type
             m[k], m[pivot_row] = m[pivot_row], m[k]
             sign = -sign
-        pivot = m[k][k]
+        row_k = m[k]
+        pivot = row_k[k]
         for i in range(k + 1, n):
+            row_i = m[i]
+            mik = row_i[k]
             for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]).exact_div(prev)
-            m[i][k] = Poly.zero()
+                e = row_i[j] * pivot - mik * row_k[j]
+                row_i[j] = div(e, prev) if k else e
         prev = pivot
     det = m[n - 1][n - 1]
     return -det if sign < 0 else det
+
+
+def _sylvester(pc: list, qc: list, zero) -> list[list]:
+    """Sylvester matrix of two ascending coefficient lists."""
+    n = len(pc) + len(qc) - 2
+    rows = []
+    for coeffs, shifts in ((pc, len(qc) - 1), (qc, len(pc) - 1)):
+        top = coeffs[::-1]
+        for i in range(shifts):
+            rows.append([zero] * i + top + [zero] * (n - i - len(top)))
+    return rows
 
 
 def resultant(p: Poly, q: Poly, var: str) -> Poly:
     """Resultant of p and q with respect to var, eliminating var.
 
     Computed as the determinant of the Sylvester matrix by fraction-free
-    (Bareiss) elimination, which avoids rational-function blowup when the
-    remaining coefficients are themselves multivariate polynomials.
+    (Bareiss) elimination.  When p and q involve var alone, every entry is
+    a constant and the elimination runs on the int numerators of p and q;
+    otherwise the entries are Polys in the remaining variables, which
+    avoids rational-function blowup.
     """
     dp = p.degree(var)
     dq = q.degree(var)
     if dp < 1 or dq < 1:
         raise ValueError("resultant requires positive degree in var")
-    pc = p.coeffs_in(var)
-    qc = q.coeffs_in(var)
-    n = dp + dq
-    rows: list[list[Poly]] = []
-    for i in range(dq):
-        row = [Poly.zero()] * n
-        for j, c in enumerate(reversed(pc)):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(dp):
-        row = [Poly.zero()] * n
-        for j, c in enumerate(reversed(qc)):
-            row[i + j] = c
-        rows.append(row)
-    return _bareiss_det(rows)
+    s = _SHIFT[var]
+    others = ~(_FIELD << s)
+    if not any(k & others for k in (*p.terms, *q.terms)):
+        pc, qc = [0] * (dp + 1), [0] * (dq + 1)
+        for coeffs, poly in ((pc, p), (qc, q)):
+            for k, c in poly.terms.items():
+                coeffs[k >> s] = c
+        det = _bareiss_det(_sylvester(pc, qc, 0), operator.floordiv)
+        # the dq rows of p carry 1/p.den each, the dp rows of q 1/q.den
+        return Poly.rat(Rat(det, p.den**dq * q.den**dp))
+    rows = _sylvester(p.coeffs_in(var), q.coeffs_in(var), Poly.zero())
+    return _bareiss_det(rows, Poly.exact_div)
 
 
 def discriminant(p: Poly, var: str) -> Poly:

@@ -252,7 +252,10 @@ def derived_ode_residual(qp: QPolynomial) -> Poly:
 
         Q^(5) + 4V Q^(3) + 2Q'(2z - 2W + V'') + 6V' Q'' - 2Q W'.
 
-    Only qp.q, qp.v and qp.w are read.
+    Only qp.q, qp.v and qp.w are read.  With the potentials of
+    potentials(), V'' = 6 a3 x + 2 a2 and W = g(g+1) a3 x, this is the
+    same linear operator on Q as q_ode_residual, term by term, so on any
+    Q it returns the same residual: the check repeats q_ode.
     """
     z = Poly.var("z")
     q, v, w = qp.q, qp.v, qp.w

@@ -362,7 +362,7 @@ def poly_of_op(c: list[Poly], op: DiffOp) -> DiffOp:
         if j > 0:
             power = op_mul(power, op)
         if not cj.is_zero():
-            result = result + op_mul(DiffOp.from_poly(cj), power)
+            result = result + power.scale(cj)
     return result
 
 

@@ -24,6 +24,12 @@ def random_poly(rng, vars=("x", "z"), max_exp=3, n_terms=4,
     return p
 
 
+def x_poly(terms: dict) -> Poly:
+    """sum_d terms[d] * x^d, for rational coefficients terms[d]."""
+    return sum((Poly.monomial(c, {"x": d}) for d, c in terms.items()),
+               Poly.zero())
+
+
 def random_nonzero_poly(rng, **kw) -> Poly:
     while True:
         p = random_poly(rng, **kw)

@@ -1,8 +1,10 @@
 """Command-line interface: exit codes, JSON contracts, determinism."""
 
+import importlib
 import io
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -200,3 +202,19 @@ def test_verify_report_is_json_and_summary_on_stderr(capsys):
     assert code == 0
     json.loads(out)  # stdout is pure JSON
     assert "checks run" in err  # human summary on stderr
+
+
+def test_bench_replay_matches_cli(capsys, monkeypatch):
+    # bench/replay.py calls the library the way `weylpair verify` does;
+    # the names, flags and signatures it uses must keep giving the CLI's
+    # verdicts, check by check and in the same order
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
+                                    / "bench"))
+    replay = importlib.import_module("replay")
+    alpha = "a0=1/1,a1=0/1,a2=0/1,a3=1/1"
+    verdicts, _, _ = replay.verify(replay.NullTracer(), 2, alpha)
+    code, out, _ = run_cli(["verify", "--genus", "2", "--alpha", alpha],
+                           capsys)
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert list(verdicts.items()) == [(c["name"], c["pass"]) for c in checks]

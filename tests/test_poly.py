@@ -306,6 +306,44 @@ def test_resultant_matches_sympy():
         assert as_dict(r) == from_sympy(expect)
 
 
+def test_resultant_in_one_variable_matches_sympy():
+    # p and q in z alone: the elimination runs on their int numerators;
+    # every third pair shares the root 3/2, so its resultant is zero
+    rng = random.Random(8)
+    for i in range(12):
+        p = big_poly(rng, vars=("z",), max_exp=6, n_terms=4, bits=40)
+        q = big_poly(rng, vars=("z",), max_exp=5, n_terms=3, bits=40)
+        p, q = p + Rat(2, 3) * z**7 + 1, q + Rat(-5, 7) * z**6 + 2
+        if i % 3 == 0:
+            p, q = p * (z - Rat(3, 2)), q * (2 * z - 3)
+        r = resultant(p, q, "z")
+        expect = sympy.resultant(to_sympy(p).as_expr(), to_sympy(q).as_expr(),
+                                 GENS[1])
+        assert as_dict(r) == from_sympy(expect)
+        assert r.is_zero() == (i % 3 == 0)
+    # sparse pairs whose elimination meets a zero pivot and swaps rows
+    for p, q in ((z**2 + 1, z), (z, z**2 + 1), (z**3 + 2, 3 * z**2 - 1),
+                 (z**4 - 5, z**2 + z)):
+        expect = sympy.resultant(to_sympy(p).as_expr(), to_sympy(q).as_expr(),
+                                 GENS[1])
+        assert as_dict(resultant(p, q, "z")) == from_sympy(expect)
+
+
+def test_resultant_commutes_with_binding_parameters():
+    # the symbolic elimination, bound afterwards, against the integer
+    # elimination of the bound polynomials; the leading coefficients in z
+    # are constants, so binding a0 keeps both degrees
+    rng = random.Random(9)
+    for _ in range(6):
+        p = big_poly(rng, vars=("z", "a0"), max_exp=3, n_terms=4, bits=20)
+        q = big_poly(rng, vars=("z", "a0"), max_exp=2, n_terms=3, bits=20)
+        p, q = p + z**4, q + 3 * z**3
+        value = Rat(rng.randint(-99, 99), rng.randint(1, 99))
+        assert (resultant(p, q, "z").eval({"a0": value})
+                == resultant(p.eval({"a0": value}), q.eval({"a0": value}),
+                             "z"))
+
+
 def test_rat_is_canonical():
     assert Poly.rat(Rat(2, 4)) == Poly.rat(Rat(1, 2))
     assert Poly.rat(Rat(2, 4)).den == 2

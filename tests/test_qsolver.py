@@ -136,6 +136,19 @@ def test_derived_ode_residual_zero():
     assert derived_ode_residual(build_q(3)).is_zero()
 
 
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_derived_ode_is_q_ode_operator(g):
+    # on any Q, not only the constructed one, the two residuals agree: the
+    # derived_ode check is the q_ode check written with V'' and W
+    qp = build_q(g)
+    for bump in (Poly.zero(), x, x**3 * z, a1 * x**2):
+        moved = QPolynomial(g=g, deltas=qp.deltas, q=qp.q + bump, v=qp.v,
+                            w=qp.w, alphas=qp.alphas)
+        res = q_ode_residual(moved)
+        assert derived_ode_residual(moved) == res
+        assert res.is_zero() == bump.is_zero()
+
+
 def test_derived_ode_cube_reading_fails():
     # disambiguation: the product with Q^3 instead of the third derivative
     # is dimensionally inconsistent and does not vanish
