@@ -203,17 +203,18 @@ def _checks_for(args, params: dict) -> list[dict]:
         add("curve_nonsingular", is_nonsingular(curve, params),
             "disc_z F != 0 at the bound parameters")
         sample_points = [Rat(2 * i + 1, 2) for i in range(args.samples)]
-        distinct_ok = True
         recovery_ok = True
         krichever_ok = True
-        details = []
+        # exception messages from roots_z, and from the two root-level
+        # checks, where one exception fails both
+        root_errors = []
+        check_errors = []
         for x0 in sample_points:
             # a corrupted Q must surface as failed checks, not a crash
             try:
                 roots_z(qp, None, x0, tol_root=args.tol_root)
             except INTERNAL_ERRORS as exc:
-                distinct_ok = False
-                details.append(f"{type(exc).__name__}: {exc}")
+                root_errors.append(f"{type(exc).__name__}: {exc}")
                 continue
             try:
                 rep = verify_potential_recovery(qp, None, x0)
@@ -223,14 +224,16 @@ def _checks_for(args, params: dict) -> list[dict]:
             except INTERNAL_ERRORS as exc:
                 recovery_ok = False
                 krichever_ok = False
-                details.append(f"{type(exc).__name__}: {exc}")
-        add("root_distinctness", distinct_ok,
-            "; ".join(details) or "disc_z Q(x0, z) != 0")
+                check_errors.append(f"{type(exc).__name__}: {exc}")
+        add("root_distinctness", not root_errors,
+            "; ".join(root_errors) or "disc_z Q(x0, z) != 0")
         add("potential_recovery", recovery_ok,
-            "Q(x0, z) divides Qxx^2 - 2QxQxxx - 4F - 4VQx^2; "
-            "res_z(Q, Qx) != 0")
+            "; ".join(check_errors)
+            or "Q(x0, z) divides Qxx^2 - 2QxQxxx - 4F - 4VQx^2; "
+               "res_z(Q, Qx) != 0")
         add("krichever_relation", krichever_ok,
-            "the same divisibility; res_z(Q, F) != 0")
+            "; ".join(check_errors)
+            or "the same divisibility; res_z(Q, F) != 0")
     else:
         for name in ("curve_nonsingular", "root_distinctness",
                      "potential_recovery", "krichever_relation"):

@@ -7,23 +7,35 @@ form from Q(x, z) = sum_j q_j(x) z^j:
     M = sum_j ( q_j*(D^2 + V) - q_j'*D + (1/2)*q_j'' ) ∘ L^j,
 
 which realizes multiplication by the second curve coordinate w on common
-eigenfunctions.  The certificates below ([L, M] = 0 and M^2 = F(L)) are
-verified by direct Weyl-algebra expansion, so they are independent of the
-derivation of the closed form.  A commutant solver provides a second,
-independent route to M: it solves [L, M] = 0 from L alone, one coefficient
-of M at a time from the top order down (the Burchnall-Chaundy recursion),
-and finds every monic commuting operator of a given order.
+eigenfunctions.  The certificates below are independent of the derivation
+of the closed form.  [L, M] = 0 is verified by direct Weyl-algebra
+expansion.  M^2 = F(L) is certified without forming M^2 or F(L), in two
+lines:
+
+  (<=) if [L, M] = 0, then R = M^2 - F(L) commutes with L, as the
+       coefficients of F are x-free.  The top coefficient of [L, R] is
+       4*r_d' for R of order d (Burchnall-Chaundy 1923), so a nonzero R
+       has an x-free leading coefficient: R = 0 exactly when the x^0 part
+       of every coefficient of R vanishes;
+  (=>) if M^2 = F(L), then L and M lie in the centralizer of M^2, which
+       is commutative (Amitsur, Pacific J. Math. 1958): [L, M] = 0.
+
+A commutant solver provides a second, independent route to M: it solves
+[L, M] = 0 from L alone, one coefficient of M at a time from the top order
+down (the Burchnall-Chaundy recursion), and finds every monic commuting
+operator of a given order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .curve import ParamError, SpectralCurve
 from .poly import Poly, Rat, binomial
 from .qsolver import QPolynomial, potentials, resolve_alphas
-from .weyl import DiffOp, anticommutator, commutator, op_mul, poly_of_op
+from .weyl import DiffOp, anticommutator, commutator, op_mul, x0_of_product
 
 
 @dataclass(frozen=True)
@@ -33,6 +45,11 @@ class OperatorPair:
     m: DiffOp
     curve: SpectralCurve
     q: QPolynomial
+
+    @cached_property
+    def bracket(self) -> DiffOp:
+        """[L, M], computed once and shared by both certificates."""
+        return commutator(self.l4, self.m)
 
 
 def build_quartic(g: int, params: dict | None = None) -> DiffOp:
@@ -84,16 +101,48 @@ def build_pair(g: int, params: dict | None = None) -> OperatorPair:
     return OperatorPair(g=g, l4=l4, m=m, curve=curve, q=qp)
 
 
+def _powers(l4: DiffOp, n: int) -> list[DiffOp]:
+    """[1, L, ..., L^n]."""
+    powers = [DiffOp.identity()]
+    for _ in range(n):
+        powers.append(op_mul(powers[-1], l4))
+    return powers
+
+
 def verify_commutation(pair: OperatorPair) -> DiffOp:
     """[L, M]; the zero operator certifies commutation."""
-    return commutator(pair.l4, pair.m)
+    return pair.bracket
 
 
 def verify_square_identity(pair: OperatorPair) -> DiffOp:
-    """M*M - F(L); the zero operator certifies that the pair lies on the
-    curve w^2 = F(z)."""
+    """An operator that is zero exactly when M^2 = F(L), so that the zero
+    operator certifies that the pair lies on the curve w^2 = F(z).
+
+    It is [L, M] when that is nonzero, else the x^0 parts of the
+    coefficients of R = M^2 - F(L); the module docstring has the proof.
+    For L of order n the top coefficient of [L, R] is n*r_d' only when
+    the leading coefficient of L is x-free, so L must be monic of order
+    n >= 1.  Neither M^2 nor F(L) is formed: with F(L) = A + L^h∘B,
+    A = sum_(j<h) c_j L^j and B = sum_(j>=h) c_j L^(j-h), only L..L^h are
+    built, and x0_of_product reads the x^0 parts of M∘M and L^h∘B.
+    """
+    l4 = pair.l4
+    if l4.order() < 1 or l4.coeffs[-1] != Poly.one():
+        raise ValueError("the square certificate needs a monic L of "
+                         "positive order")
+    if not pair.bracket.is_zero():
+        return pair.bracket
     coeffs = list(pair.curve.coeffs) + [Poly.one()]
-    return op_mul(pair.m, pair.m) - poly_of_op(coeffs, pair.l4)
+    h = len(coeffs) // 2
+    powers = _powers(l4, h)
+
+    def combine(cs: list[Poly]) -> DiffOp:
+        return sum((p.scale(c) for p, c in zip(powers, cs)), DiffOp.zero())
+
+    low = combine(coeffs[:h])
+    return (DiffOp(x0_of_product(pair.m, pair.m))
+            - DiffOp(x0_of_product(powers[h], combine(coeffs[h:])))
+            - DiffOp([c.coeff_in("x", 0) for c in low.coeffs]))
 
 
 # -- reference closed forms -------------------------------------------------
@@ -379,9 +428,7 @@ def in_affine_span(op: DiffOp, particular: DiffOp,
 
 def is_power_span(basis: list[DiffOp], l4: DiffOp, g: int) -> bool:
     """Whether every basis element lies in span{1, L, ..., L^g}."""
-    powers = [DiffOp.identity()]
-    for _ in range(g):
-        powers.append(op_mul(powers[-1], l4))
+    powers = _powers(l4, g)
     zero = DiffOp.zero()
     for b in basis:
         if not in_affine_span(b, zero, powers):

@@ -317,6 +317,47 @@ def _op_mul_kronecker(ax: list[tuple[dict, int]],
     return out
 
 
+def x0_of_product(a: DiffOp, b: DiffOp) -> list[Poly]:
+    """The x^0 parts of the coefficients of a∘b, without forming a∘b.
+
+    The x^0 part of a coefficient is its value at x = 0, which may still
+    hold parameters.  By the exchange rule (a∘b)_o is the sum of
+    C(i,k) * a_i * b_j^(k) over i + j - k = o, and the x^0 part of
+    a_i * b_j^(k) is a_i(0) * k! * [x^k]b_j, so only the x^0 parts of a
+    and the coefficients of x^k, k <= ord(a), of b are read.  Entry o of
+    the list belongs to D^o; the list has ord(a) + ord(b) + 1 entries.
+    """
+    if a.is_zero() or b.is_zero():
+        return []
+    na = a.order()
+    # x-free parts of a, and [x^k] of b for k <= na, as int numerators
+    # over one denominator per operand
+    a0 = [c.coeff_in("x", 0) for c in a.coeffs]
+    bx = [c.coeffs_in("x")[:na + 1] for c in b.coeffs]
+    da = math.lcm(*(c.den for c in a0))
+    db = math.lcm(*(c.den for row in bx for c in row))
+    a0 = [_over(c.terms, c.den, da) for c in a0]
+    bx = [[_over(c.terms, c.den, db) for c in row] for row in bx]
+    out: list[dict] = [{} for _ in range(na + b.order() + 1)]
+    for i, ai in enumerate(a0):
+        if not ai:
+            continue
+        for k in range(i + 1):
+            f = math.perm(i, k)  # C(i,k) * k!
+            fa = [(k1, f * c1) for k1, c1 in ai.items()]
+            for j, row in enumerate(bx):
+                if k >= len(row) or not row[k]:
+                    continue
+                acc = out[i + j - k]
+                get = acc.get
+                for k2, c2 in row[k].items():
+                    for k1, c1 in fa:
+                        kk = k1 + k2
+                        acc[kk] = get(kk, 0) + c1 * c2
+    den = da * db
+    return [Poly.from_nums(t, den) for t in out]
+
+
 def commutator(a: DiffOp, b: DiffOp) -> DiffOp:
     return op_mul(a, b) - op_mul(b, a)
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from weylpair import cli
+from weylpair import cli, pairs
 from weylpair.cli import main
 from weylpair.curve import SpectralCurve
 from weylpair.poly import Poly
@@ -204,17 +204,53 @@ def test_verify_report_is_json_and_summary_on_stderr(capsys):
     assert "checks run" in err  # human summary on stderr
 
 
+# at x0 = 1/2, Q = z - 6 and 6 is a root of F = z^3 - 10z^2 + 23z + 6, so
+# the pole sits on a branch point and both root-level checks raise
+DEGENERATE_X0 = "a0=1/1,a1=1/1,a2=-5/1,a3=-2/1"
+
+
 def test_bench_replay_matches_cli(capsys, monkeypatch):
     # bench/replay.py calls the library the way `weylpair verify` does;
     # the names, flags and signatures it uses must keep giving the CLI's
-    # verdicts, check by check and in the same order
+    # verdicts, check by check and in the same order, also where a
+    # root-level check raises
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
                                     / "bench"))
     replay = importlib.import_module("replay")
-    alpha = "a0=1/1,a1=0/1,a2=0/1,a3=1/1"
-    verdicts, _, _ = replay.verify(replay.NullTracer(), 2, alpha)
-    code, out, _ = run_cli(["verify", "--genus", "2", "--alpha", alpha],
-                           capsys)
+    for g, alpha, exit_code in ((2, "a0=1/1,a1=0/1,a2=0/1,a3=1/1", 0),
+                                (1, DEGENERATE_X0, 1)):
+        verdicts, _, _ = replay.verify(replay.NullTracer(), g, alpha)
+        code, out, _ = run_cli(["verify", "--genus", str(g),
+                                "--alpha", alpha], capsys)
+        assert code == exit_code
+        checks = json.loads(out)["checks"]
+        assert list(verdicts.items()) == [(c["name"], c["pass"])
+                                          for c in checks]
+
+
+def test_verify_reports_exception_under_failed_checks(capsys):
+    code, out, err = run_cli(
+        ["verify", "--genus", "1", "--alpha", DEGENERATE_X0], capsys)
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    failed = [name for name, c in checks.items() if c["pass"] is False]
+    assert failed == ["potential_recovery", "krichever_relation"]
+    message = ("DegenerateDerivativeError: a root of Q(x0=1/2, z) is a "
+               "branch point of the curve; resample x0")
+    for name in failed:
+        assert checks[name]["detail"] == message
+        assert f"FAILED {name}: {message}" in err
+    assert checks["root_distinctness"]["pass"] is True
+    assert checks["root_distinctness"]["detail"] == "disc_z Q(x0, z) != 0"
+
+
+def test_verify_computes_bracket_once(capsys, monkeypatch):
+    # the commutation and square-identity checks share one [L, M]
+    calls = []
+    commutator = pairs.commutator
+    monkeypatch.setattr(pairs, "commutator",
+                        lambda a, b: calls.append(1) or commutator(a, b))
+    code, _, _ = run_cli(["verify", "--genus", "2", "--alpha",
+                          "a0=1,a1=0,a2=0,a3=1", "--samples", "1"], capsys)
     assert code == 0
-    checks = json.loads(out)["checks"]
-    assert list(verdicts.items()) == [(c["name"], c["pass"]) for c in checks]
+    assert len(calls) == 1

@@ -5,8 +5,9 @@ import math
 
 import pytest
 
-from weylpair.curve import ParamError
-from weylpair.pairs import (_nullspace_affine, build_companion, build_pair,
+from weylpair.curve import ParamError, SpectralCurve
+from weylpair.pairs import (OperatorPair, _nullspace_affine,
+                            build_companion, build_pair,
                             build_quartic, commutant_solve, in_affine_span,
                             is_power_span, match_reference_examples,
                             operator_diff, quartic_from_potentials,
@@ -201,6 +202,106 @@ def test_square_identity_negative_control():
     res = op_mul(pair.m, pair.m) - poly_of_op(coeffs, pair.l4)
     assert not res.is_zero()
     assert res.order() == 0  # constant perturbation leaves constant residual
+
+
+def square_oracle(pair: OperatorPair) -> DiffOp:
+    """M*M - F(L) by full expansion: the reference for the certificate,
+    which forms neither operator."""
+    coeffs = list(pair.curve.coeffs) + [Poly.one()]
+    return op_mul(pair.m, pair.m) - poly_of_op(coeffs, pair.l4)
+
+
+def perturbations(pair: OperatorPair):
+    """(label, pair) for the pair itself and for perturbed copies: some
+    still satisfy M^2 = F(L) (-M), some commute and miss it (M + 1,
+    M + L^j/3, c_k + 1), some do not commute (M + x, M + x^(4g+3)).  The
+    c_k + 1 copies keep M."""
+    g, l4 = pair.g, pair.l4
+
+    def with_m(m):
+        return OperatorPair(g=g, l4=l4, m=m, curve=pair.curve, q=pair.q)
+
+    yield "M", pair
+    yield "M+1", with_m(pair.m + DiffOp.identity())
+    for j in (1, g + 1):
+        yield f"M+L^{j}/3", with_m(pair.m + (l4 ** j).scale(Rat(1, 3)))
+    yield "-M", with_m(-pair.m)
+    yield "M+x", with_m(pair.m + DiffOp.from_poly(x))
+    yield "M+x^(4g+3)", with_m(pair.m + DiffOp.from_poly(x ** (4 * g + 3)))
+    for k in range(2 * g + 1):
+        coeffs = list(pair.curve.coeffs)
+        coeffs[k] = coeffs[k] + Poly.one()
+        yield f"c{k}+1", OperatorPair(
+            g=g, l4=l4, m=pair.m, curve=SpectralCurve(g, tuple(coeffs)),
+            q=pair.q)
+
+
+SQUARE_POINTS = (
+    [pytest.param(g, SLICE, id=f"slice-g{g}") for g in (1, 2, 3)]
+    + [pytest.param(g, {"a0": g - 3, "a1": Rat(1, 2), "a2": -1, "a3": 2},
+                    id=f"numeric-g{g}") for g in (1, 2, 3, 4, 5)]
+    + [pytest.param(g, {}, id=f"symbolic-g{g}") for g in (1, 2)])
+
+
+@pytest.mark.parametrize("g,params", SQUARE_POINTS)
+def test_square_certificate_matches_full_expansion(g, params):
+    # square_oracle, with M*M of the unperturbed M and the powers of L
+    # expanded once for all the perturbations
+    base = build_pair(g, params)
+    base_mm = op_mul(base.m, base.m)
+    powers = [DiffOp.identity()]
+    for _ in range(2 * g + 1):
+        powers.append(op_mul(powers[-1], base.l4))
+    seen = set()
+    for label, pair in perturbations(base):
+        cert = verify_square_identity(pair)
+        mm = base_mm if pair.m is base.m else op_mul(pair.m, pair.m)
+        coeffs = list(pair.curve.coeffs) + [Poly.one()]
+        oracle = mm - sum((p.scale(c) for p, c in zip(powers, coeffs)),
+                          DiffOp.zero())
+        assert cert.is_zero() == oracle.is_zero(), label
+        seen.add((label, cert.is_zero()))
+        if pair.bracket.is_zero():
+            # the certificate holds the x^0 parts of the expansion
+            assert cert == DiffOp([c.coeff_in("x", 0)
+                                   for c in oracle.coeffs]), label
+        else:
+            assert cert == pair.bracket, label
+    assert {("M", True), ("-M", True), ("M+1", False), ("c0+1", False),
+            ("M+x", False), ("M+x^(4g+3)", False)} <= seen
+
+
+def test_square_certificate_guards():
+    g = 2
+    base = build_pair(g, SLICE)
+    m = base.m + DiffOp.from_poly(x ** (4 * g + 3))
+    pair = OperatorPair(g=g, l4=base.l4, m=m, curve=base.curve, q=base.q)
+    # every x^0 part of M^2 - F(L) vanishes: only [L, M] catches this M
+    oracle = square_oracle(pair)
+    assert not oracle.is_zero()
+    assert all(c.coeff_in("x", 0).is_zero() for c in oracle.coeffs)
+    assert verify_square_identity(pair) == commutator(base.l4, m)
+    # c_0 + 1 leaves the residual -1, caught by the order-0 entry alone
+    coeffs = list(base.curve.coeffs)
+    coeffs[0] = coeffs[0] + Poly.one()
+    pair = OperatorPair(g=g, l4=base.l4, m=base.m,
+                        curve=SpectralCurve(g, tuple(coeffs)), q=base.q)
+    assert verify_square_identity(pair) == DiffOp([Poly.rat(-1)])
+
+
+@pytest.mark.parametrize("l4", [
+    pytest.param(DiffOp([Poly.one(), Poly.zero(), 2 * Poly.one()]),
+                 id="non-monic"),
+    pytest.param(DiffOp([x, Poly.zero(), x]), id="x-leading"),
+    pytest.param(DiffOp.identity(), id="order-0"),
+    pytest.param(DiffOp.zero(), id="zero")])
+def test_square_certificate_needs_monic_l(l4):
+    # without a monic L of positive order the leading coefficient of a
+    # residual that commutes with L need not be x-free
+    base = build_pair(1, NUMERIC)
+    pair = OperatorPair(g=1, l4=l4, m=base.m, curve=base.curve, q=base.q)
+    with pytest.raises(ValueError):
+        verify_square_identity(pair)
 
 
 def test_companion_is_self_adjoint():
