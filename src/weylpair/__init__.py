@@ -14,9 +14,8 @@ from .curve import ParamError, SpectralCurve, discriminant_curve, is_nonsingular
 from .curvefun import (ContextMismatchError, CurveContext, CurveFun,
                        expand_at_infinity, expand_w, expansion_report,
                        reduction_coefficients, reduction_residuals)
-from .numeric import (ConvergenceError, DegenerateDerivativeError,
-                      MultipleRootError, RootData, durand_kerner,
-                      roots_z, verify_krichever, verify_potential_recovery)
+from .numeric import (DegenerateDerivativeError, MultipleRootError, roots_z,
+                      verify_krichever, verify_potential_recovery)
 from .pairs import (OperatorPair, build_companion, build_pair, build_quartic,
                     commutant_solve, in_affine_span, match_reference_examples,
                     operator_diff, reference_companion,

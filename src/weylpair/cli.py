@@ -26,9 +26,8 @@ import time
 from .curve import ParamError, SpectralCurve, is_nonsingular
 from .curvefun import (expand_at_infinity, expansion_report,
                        reduction_coefficients, reduction_residuals)
-from .numeric import (ConvergenceError, DegenerateDerivativeError,
-                      MultipleRootError, roots_z, verify_krichever,
-                      verify_potential_recovery)
+from .numeric import (DegenerateDerivativeError, MultipleRootError, roots_z,
+                      verify_krichever, verify_potential_recovery)
 from .pairs import (OperatorPair, build_pair, match_reference_examples,
                     verify_commutation, verify_square_identity)
 from .weyl import DiffOp, adjoint
@@ -40,8 +39,7 @@ from .qsolver import (DegreeError, NormalizationError, QPolynomial,
 
 INTERNAL_ERRORS = (NotDivisibleError, RecursionDivisionError,
                    NormalizationError, XDependenceError, DegreeError,
-                   ConvergenceError, MultipleRootError,
-                   DegenerateDerivativeError)
+                   MultipleRootError, DegenerateDerivativeError)
 
 
 def _parse_alpha(text: str) -> dict:
@@ -70,10 +68,10 @@ def _is_numeric(params: dict) -> bool:
     return all(name in params for name in ("a0", "a1", "a2", "a3"))
 
 
-def _positive_genus(text: str) -> int:
+def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError("genus must be >= 1")
+        raise argparse.ArgumentTypeError("must be >= 1")
     return value
 
 
@@ -89,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--genus", type=_positive_genus, required=True)
+        p.add_argument("--genus", type=_positive_int, required=True)
         p.add_argument("--alpha", default="",
                        help="comma list a0=VAL,... with VAL a rational "
                             "like 3/2 or 'sym' to stay symbolic")
@@ -103,11 +101,13 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run the verification suite")
     common(ver)
     ver.add_argument("--series-order", type=int, default=None,
-                     help="expansion order at infinity (default 2g+8)")
-    ver.add_argument("--samples", type=int, default=3,
+                     help="expansion order at infinity, at least 2g+6 "
+                          "(default 2g+8)")
+    ver.add_argument("--samples", type=_positive_int, default=3,
                      help="number of numeric sample points")
-    ver.add_argument("--tol-root", type=float, default=1e-12)
-    # the two checks below are exact; bench/replay.py still passes these
+    # every check is exact; bench/replay.py still passes these three
+    ver.add_argument("--tol-root", type=float, default=1e-12,
+                     help="not read: no root is approximated")
     ver.add_argument("--tol-recovery", type=float, default=1e-8,
                      help="not read: potential recovery is exact")
     ver.add_argument("--tol-krichever", type=float, default=1e-6,
@@ -151,6 +151,11 @@ def cmd_construct(args) -> int:
 
 def _checks_for(args, params: dict) -> list[dict]:
     g = args.genus
+    # expansion_report reads u1 up to k^(2g+5)
+    order = 2 * g + 8 if args.series_order is None else args.series_order
+    if order < 2 * g + 6:
+        raise ParamError(f"--series-order must be at least 2g+6 = "
+                         f"{2 * g + 6} at genus {g}, got {order}")
     numeric = _is_numeric(params)
     pair = build_pair(g, params)
     qp, curve = pair.q, pair.curve
@@ -184,7 +189,6 @@ def _checks_for(args, params: dict) -> list[dict]:
     r0, r1 = reduction_residuals(u0, u1, pair.l4)
     add("reduction_psi", r0.is_zero(), "psi-coefficient equals z")
     add("reduction_dpsi", r1.is_zero(), "psi'-coefficient vanishes")
-    order = args.series_order or (2 * g + 8)
     s0 = expand_at_infinity(u0, order)
     s1 = expand_at_infinity(u1, order)
     series = expansion_report(s0, s1, qp, curve)
@@ -212,7 +216,7 @@ def _checks_for(args, params: dict) -> list[dict]:
         for x0 in sample_points:
             # a corrupted Q must surface as failed checks, not a crash
             try:
-                roots_z(qp, None, x0, tol_root=args.tol_root)
+                roots_z(qp, None, x0)
             except INTERNAL_ERRORS as exc:
                 root_errors.append(f"{type(exc).__name__}: {exc}")
                 continue

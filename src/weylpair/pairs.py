@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .curve import ParamError, SpectralCurve
-from .poly import Poly, Rat, binomial
+from .poly import Poly, Rat
 from .qsolver import QPolynomial, potentials, resolve_alphas
 from .weyl import DiffOp, anticommutator, commutator, op_mul, x0_of_product
 
@@ -349,11 +349,11 @@ def commutant_solve(l4: DiffOp, order: int, known: DiffOp | None = None):
             if not ds:
                 continue
             for s in range(1, i + 1):  # (l_i D^i)(m_j D^j)
-                p = binomial(i, s) * ds[0]
+                p = math.comb(i, s) * ds[0]
                 _affine_add(acc[i + j - s],
                             _affine_map(m_derivs[s], lambda c: c * p))
             for s in range(1, min(j, len(ds) - 1) + 1):  # (m_j D^j)(l_i D^i)
-                p = -binomial(j, s) * ds[s]
+                p = -math.comb(j, s) * ds[s]
                 _affine_add(acc[i + j - s], _affine_map(mj, lambda c: c * p))
 
     m = [None] * order + [{None: Poly.one()}]

@@ -584,7 +584,3 @@ def discriminant(p: Poly, var: str) -> Poly:
     if (d * (d - 1) // 2) % 2:
         res = -res
     return res
-
-
-def binomial(n: int, k: int) -> int:
-    return math.comb(n, k)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import os
 
-from .poly import Poly, binomial
+from .poly import Poly
 
 
 class TermBudgetError(RuntimeError):
@@ -219,7 +219,7 @@ def _op_mul_terms(a: DiffOp, b: DiffOp) -> list[Poly]:
             continue
         an = _over(ai.terms, ai.den, da)
         for k in range(i + 1):
-            cik = binomial(i, k)
+            cik = math.comb(i, k)
             ank = an if cik == 1 else {k1: c1 * cik for k1, c1 in an.items()}
             for j in range(nb + 1):
                 bjk = derivs[j][k]
@@ -278,7 +278,7 @@ def _op_mul_kronecker(ax: list[tuple[dict, int]],
     bound = 0
     ks = 0  # b^(k) != 0 exactly for k < ks
     while ks <= na and any(deriv):
-        a_l1 = sum(binomial(i, ks) * l1[i] for i in range(ks, na + 1))
+        a_l1 = sum(math.comb(i, ks) * l1[i] for i in range(ks, na + 1))
         bound += a_l1 * max(abs(c) for t in deriv for c in t.values())
         deriv = _dx(deriv)
         ks += 1
@@ -290,7 +290,7 @@ def _op_mul_kronecker(ax: list[tuple[dict, int]],
             b_k = _dx(b_k)
         a_slots = {}
         for i in range(k, na + 1):
-            cik = binomial(i, k)
+            cik = math.comb(i, k)
             base = (i - k) * stride
             for d, c in ai[i].items():
                 a_slots[base + d] = cik * c
@@ -378,7 +378,7 @@ def adjoint(a: DiffOp) -> DiffOp:
         sign = -1 if i % 2 else 1
         dk = ci
         for k in range(i + 1):
-            term = dk * (sign * binomial(i, k))
+            term = dk * (sign * math.comb(i, k))
             out[i - k] = out[i - k] + term
             dk = dk.diff("x")
     return DiffOp(out)

@@ -189,8 +189,8 @@ def test_criterion_08_numeric_root_checks():
         curve = extract_curve(qp)
         for i in range(5):
             x0 = Rat(2 * i + 1, 2)
-            rd = roots_z(qp, None, x0)  # raises on any collision
-            ok = ok and len(rd.gammas) == g
+            q = roots_z(qp, None, x0)  # raises on any collision
+            ok = ok and q.degree("z") == g
         for x0 in (Rat(1, 2), Rat(3, 2)):
             rep = verify_potential_recovery(qp, None, x0, tol=1e-8)
             ok = ok and rep["pass"]

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, JSON contracts, determinism."""
 
+import dataclasses
 import importlib
 import io
 import json
@@ -11,7 +12,7 @@ import pytest
 from weylpair import cli, pairs
 from weylpair.cli import main
 from weylpair.curve import SpectralCurve
-from weylpair.poly import Poly
+from weylpair.poly import Poly, Rat
 from weylpair.weyl import DiffOp
 
 
@@ -254,3 +255,49 @@ def test_verify_computes_bracket_once(capsys, monkeypatch):
                           "a0=1,a1=0,a2=0,a3=1", "--samples", "1"], capsys)
     assert code == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("samples", ["0", "-2"])
+def test_verify_rejects_samples_below_one(samples, capsys):
+    # with no sample point no root-level check would run, yet all three
+    # would read PASS
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--genus", "1", "--alpha", "a0=1,a1=0,a2=0,a3=1",
+              "--samples", samples])
+    assert exc.value.code == 2
+    assert "argument --samples: must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("order", ["9", "5", "0", "-3"])
+def test_verify_rejects_series_order_below_2g_plus_6(order, capsys):
+    code, out, err = run_cli(["verify", "--genus", "2", "--alpha",
+                              "a0=1,a1=0,a2=0,a3=1", "--series-order", order],
+                             capsys)
+    assert code == 2
+    assert out == ""
+    assert err == ("parameter error: --series-order must be at least "
+                   f"2g+6 = 10 at genus 2, got {order}\n")
+
+
+def test_verify_accepts_series_order_2g_plus_6(capsys):
+    code, out, _ = run_cli(["verify", "--genus", "2", "--alpha",
+                            "a0=1,a1=0,a2=0,a3=1", "--series-order", "10",
+                            "--samples", "1"], capsys)
+    assert code == 0
+    assert json.loads(out)["pass"] is True
+
+
+def test_double_root_fails_root_distinctness(monkeypatch):
+    # at g = 2, Q = z^2 + 3xz + 9x^2 and Q - 27/16 = (z + 3/4)^2 at x = 1/2,
+    # with simple roots at x = 3/2 and 5/2
+    pair = pairs.build_pair(2, {"a0": 1, "a1": 0, "a2": 0, "a3": 1})
+    bad_q = dataclasses.replace(pair.q, q=pair.q.q - Rat(27, 16))
+    monkeypatch.setattr(cli, "build_pair",
+                        lambda g, params: dataclasses.replace(pair, q=bad_q))
+    args = cli.build_parser().parse_args(
+        ["verify", "--genus", "2", "--alpha", "a0=1,a1=0,a2=0,a3=1"])
+    checks = {c["name"]: c
+              for c in cli._checks_for(args, cli._parse_alpha(args.alpha))}
+    assert checks["root_distinctness"] == {
+        "name": "root_distinctness", "pass": False,
+        "detail": "MultipleRootError: Q(x0=1/2, z) has a multiple root"}

@@ -7,7 +7,7 @@ import pytest
 import sympy
 
 from weylpair import weyl
-from weylpair.poly import Poly, Rat, binomial
+from weylpair.poly import Poly, Rat
 from weylpair.weyl import (DiffOp, TermBudgetError, adjoint, anticommutator,
                            apply_to, commutator, is_self_adjoint, op_mul,
                            poly_of_op)
@@ -213,7 +213,7 @@ def schoolbook_op_mul(a: DiffOp, b: DiffOp) -> DiffOp:
         if ai.is_zero():
             continue
         for k in range(i + 1):
-            cik = binomial(i, k)
+            cik = math.comb(i, k)
             for j in range(nb + 1):
                 bjk = derivs[j][k]
                 if bjk.is_zero():
