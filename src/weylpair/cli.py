@@ -47,6 +47,7 @@ def _parse_alpha(text: str) -> dict:
     params: dict = {}
     if not text:
         return params
+    seen: set = set()
     for item in text.split(","):
         if "=" not in item:
             raise ParamError(f"bad parameter binding {item!r}")
@@ -55,6 +56,9 @@ def _parse_alpha(text: str) -> dict:
         value = value.strip()
         if name not in ("a0", "a1", "a2", "a3"):
             raise ParamError(f"unknown parameter {name!r}")
+        if name in seen:
+            raise ParamError(f"parameter {name!r} bound twice")
+        seen.add(name)
         if value in ("sym", "symbolic"):
             continue
         try:
@@ -124,8 +128,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _emit(doc: dict, out_path: str | None) -> None:
     text = json.dumps(doc, indent=1, sort_keys=True)
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ParamError(f"cannot write --out {out_path}: "
+                             f"{exc.strerror}") from exc
     else:
         sys.stdout.write(text + "\n")
 
@@ -209,8 +217,8 @@ def _checks_for(args, params: dict) -> list[dict]:
         sample_points = [Rat(2 * i + 1, 2) for i in range(args.samples)]
         recovery_ok = True
         krichever_ok = True
-        # exception messages from roots_z, and from the two root-level
-        # checks, where one exception fails both
+        # messages from roots_z and from the two root-level checks; both
+        # fail on either, as they do not run where roots_z raises
         root_errors = []
         check_errors = []
         for x0 in sample_points:
@@ -219,6 +227,7 @@ def _checks_for(args, params: dict) -> list[dict]:
                 roots_z(qp, None, x0)
             except INTERNAL_ERRORS as exc:
                 root_errors.append(f"{type(exc).__name__}: {exc}")
+                check_errors.append(f"not run at x0={x0}: {root_errors[-1]}")
                 continue
             try:
                 rep = verify_potential_recovery(qp, None, x0)
@@ -231,11 +240,11 @@ def _checks_for(args, params: dict) -> list[dict]:
                 check_errors.append(f"{type(exc).__name__}: {exc}")
         add("root_distinctness", not root_errors,
             "; ".join(root_errors) or "disc_z Q(x0, z) != 0")
-        add("potential_recovery", recovery_ok,
+        add("potential_recovery", recovery_ok and not root_errors,
             "; ".join(check_errors)
             or "Q(x0, z) divides Qxx^2 - 2QxQxxx - 4F - 4VQx^2; "
                "res_z(Q, Qx) != 0")
-        add("krichever_relation", krichever_ok,
+        add("krichever_relation", krichever_ok and not root_errors,
             "; ".join(check_errors)
             or "the same divisibility; res_z(Q, F) != 0")
     else:

@@ -7,10 +7,11 @@ form from Q(x, z) = sum_j q_j(x) z^j:
     M = sum_j ( q_j*(D^2 + V) - q_j'*D + (1/2)*q_j'' ) ∘ L^j,
 
 which realizes multiplication by the second curve coordinate w on common
-eigenfunctions.  The certificates below are independent of the derivation
-of the closed form.  [L, M] = 0 is verified by direct Weyl-algebra
-expansion.  M^2 = F(L) is certified without forming M^2 or F(L), in two
-lines:
+eigenfunctions.  Every polynomial in L here is summed by Horner's rule,
+R <- R∘L + B_j from the top block down, so no power of L is formed.  The
+certificates below are independent of the derivation of the closed form.
+[L, M] = 0 is verified by direct Weyl-algebra expansion.  M^2 = F(L) is
+certified without forming M^2 or F(L), in two lines:
 
   (<=) if [L, M] = 0, then R = M^2 - F(L) commutes with L, as the
        coefficients of F are x-free.  The top coefficient of [L, R] is
@@ -19,6 +20,12 @@ lines:
        of every coefficient of R vanishes;
   (=>) if M^2 = F(L), then L and M lie in the centralizer of M^2, which
        is commutative (Amitsur, Pacific J. Math. 1958): [L, M] = 0.
+
+The x^0 parts X(F(L)) come from Horner's rule over x^0 parts, R <- X(R∘L)
++ c_j from R = 1, so every R is x-free.  That is sound because X(a∘b)
+needs only X(a) and b: a enters the exchange rule (a∘b)_o = sum C(i,k)
+a_i b_j^(k) only through the factors a_i, and evaluation at x = 0 is a
+ring map, so X(a∘b) = X(X(a)∘b).
 
 A commutant solver provides a second, independent route to M: it solves
 [L, M] = 0 from L alone, one coefficient of M at a time from the top order
@@ -35,7 +42,8 @@ from functools import cached_property
 from .curve import ParamError, SpectralCurve
 from .poly import Poly, Rat
 from .qsolver import QPolynomial, potentials, resolve_alphas
-from .weyl import DiffOp, anticommutator, commutator, op_mul, x0_of_product
+from .weyl import (DiffOp, anticommutator, commutator, op_mul, poly_of_op,
+                   x0_of_product)
 
 
 @dataclass(frozen=True)
@@ -72,23 +80,20 @@ def build_companion(qp: QPolynomial, l4: DiffOp) -> DiffOp:
 
     On a common eigenfunction (L psi = z psi, psi'' given by the
     second-order reduction) the operator acts as multiplication by w.  The
-    coefficients q_j, q_j', q_j'' multiply on the LEFT of the powers of L;
-    the opposite order breaks commutation.
+    blocks in q_j, q_j', q_j'' multiply on the LEFT of the powers of L;
+    the opposite order breaks commutation.  poly_of_op sums them by
+    Horner's rule, g products with L.
     """
     qcs = qp.q_z_coeffs()
     if not (qcs and qcs[-1] == Poly.one()):
         raise ValueError("Q must be monic in z")
     v = qp.v
     half = Rat(1, 2)
-    result = DiffOp.zero()
-    power = DiffOp.identity()
-    for j, qj in enumerate(qcs):
-        if j > 0:
-            power = op_mul(power, l4)
+    blocks = []
+    for qj in qcs:
         qjx = qj.diff("x")
-        block = DiffOp([qj * v + half * qjx.diff("x"), -qjx, qj])
-        result = result + op_mul(block, power)
-    return result
+        blocks.append(DiffOp([qj * v + half * qjx.diff("x"), -qjx, qj]))
+    return poly_of_op(blocks, l4)
 
 
 def build_pair(g: int, params: dict | None = None) -> OperatorPair:
@@ -99,14 +104,6 @@ def build_pair(g: int, params: dict | None = None) -> OperatorPair:
     l4 = build_quartic(g, params)
     m = build_companion(qp, l4)
     return OperatorPair(g=g, l4=l4, m=m, curve=curve, q=qp)
-
-
-def _powers(l4: DiffOp, n: int) -> list[DiffOp]:
-    """[1, L, ..., L^n]."""
-    powers = [DiffOp.identity()]
-    for _ in range(n):
-        powers.append(op_mul(powers[-1], l4))
-    return powers
 
 
 def verify_commutation(pair: OperatorPair) -> DiffOp:
@@ -122,9 +119,9 @@ def verify_square_identity(pair: OperatorPair) -> DiffOp:
     coefficients of R = M^2 - F(L); the module docstring has the proof.
     For L of order n the top coefficient of [L, R] is n*r_d' only when
     the leading coefficient of L is x-free, so L must be monic of order
-    n >= 1.  Neither M^2 nor F(L) is formed: with F(L) = A + L^h∘B,
-    A = sum_(j<h) c_j L^j and B = sum_(j>=h) c_j L^(j-h), only L..L^h are
-    built, and x0_of_product reads the x^0 parts of M∘M and L^h∘B.
+    n >= 1.  Neither M^2, F(L) nor any power of L is formed:
+    x0_of_product reads X(M∘M), the x^0 parts of M∘M, and Horner's rule
+    over x^0 parts gives X(F(L)), as the module docstring shows.
     """
     l4 = pair.l4
     if l4.order() < 1 or l4.coeffs[-1] != Poly.one():
@@ -132,17 +129,10 @@ def verify_square_identity(pair: OperatorPair) -> DiffOp:
                          "positive order")
     if not pair.bracket.is_zero():
         return pair.bracket
-    coeffs = list(pair.curve.coeffs) + [Poly.one()]
-    h = len(coeffs) // 2
-    powers = _powers(l4, h)
-
-    def combine(cs: list[Poly]) -> DiffOp:
-        return sum((p.scale(c) for p, c in zip(powers, cs)), DiffOp.zero())
-
-    low = combine(coeffs[:h])
-    return (DiffOp(x0_of_product(pair.m, pair.m))
-            - DiffOp(x0_of_product(powers[h], combine(coeffs[h:])))
-            - DiffOp([c.coeff_in("x", 0) for c in low.coeffs]))
+    x0_f_of_l = DiffOp.identity()
+    for c in reversed(pair.curve.coeffs):
+        x0_f_of_l = DiffOp(x0_of_product(x0_f_of_l, l4)) + DiffOp([c])
+    return DiffOp(x0_of_product(pair.m, pair.m)) - x0_f_of_l
 
 
 # -- reference closed forms -------------------------------------------------
@@ -428,7 +418,9 @@ def in_affine_span(op: DiffOp, particular: DiffOp,
 
 def is_power_span(basis: list[DiffOp], l4: DiffOp, g: int) -> bool:
     """Whether every basis element lies in span{1, L, ..., L^g}."""
-    powers = _powers(l4, g)
+    powers = [DiffOp.identity()]
+    while len(powers) <= g:
+        powers.append(op_mul(powers[-1], l4))
     zero = DiffOp.zero()
     for b in basis:
         if not in_affine_span(b, zero, powers):

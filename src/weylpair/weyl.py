@@ -388,22 +388,19 @@ def is_self_adjoint(a: DiffOp) -> bool:
     return adjoint(a) == a
 
 
-def poly_of_op(c: list[Poly], op: DiffOp) -> DiffOp:
-    """sum_j (multiplication by c_j) ∘ op^j.
+def poly_of_op(c: list[Poly | DiffOp], op: DiffOp) -> DiffOp:
+    """sum_j c_j ∘ op^j by Horner's rule: R <- R∘op + c_j from the top
+    coefficient down, len(c) - 1 products and no power of op.
 
-    The coefficients multiply on the left so that, applied to an
-    eigenfunction with eigenvalue z, the result evaluates sum_j c_j(x) z^j.
+    A coefficient is a DiffOp or a z-free Poly, read as multiplication by
+    it.  Each c_j stays on the left of op^j, so that, applied to an
+    eigenfunction with eigenvalue z, Poly coefficients evaluate
+    sum_j c_j(x) z^j.
     """
-    for cj in c:
-        if cj.degree("z") > 0:
-            raise ValueError("coefficients must be z-free")
     result = DiffOp.zero()
-    power = DiffOp.identity()
-    for j, cj in enumerate(c):
-        if j > 0:
-            power = op_mul(power, op)
-        if not cj.is_zero():
-            result = result + power.scale(cj)
+    for cj in reversed(c):
+        result = op_mul(result, op) + (cj if isinstance(cj, DiffOp)
+                                       else DiffOp([cj]))
     return result
 
 

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, JSON contracts, determinism."""
 
 import dataclasses
+import hashlib
 import importlib
 import io
 import json
@@ -301,3 +302,66 @@ def test_double_root_fails_root_distinctness(monkeypatch):
     assert checks["root_distinctness"] == {
         "name": "root_distinctness", "pass": False,
         "detail": "MultipleRootError: Q(x0=1/2, z) has a multiple root"}
+
+
+def test_skipped_sample_points_fail_root_level_checks(monkeypatch):
+    # Q = (z + 3x/2)^2 has a double root at every x0, so neither
+    # root-level check runs anywhere; neither may read PASS
+    pair = pairs.build_pair(2, {"a0": 1, "a1": 0, "a2": 0, "a3": 1})
+    z, x = Poly.var("z"), Poly.var("x")
+    bad_q = dataclasses.replace(pair.q, q=(z + Rat(3, 2) * x) ** 2)
+    monkeypatch.setattr(cli, "build_pair",
+                        lambda g, params: dataclasses.replace(pair, q=bad_q))
+    args = cli.build_parser().parse_args(
+        ["verify", "--genus", "2", "--alpha", "a0=1,a1=0,a2=0,a3=1"])
+    checks = {c["name"]: c
+              for c in cli._checks_for(args, cli._parse_alpha(args.alpha))}
+    errors = [f"MultipleRootError: Q(x0={x0}, z) has a multiple root"
+              for x0 in ("1/2", "3/2", "5/2")]
+    assert checks["root_distinctness"]["pass"] is False
+    assert checks["root_distinctness"]["detail"] == "; ".join(errors)
+    skipped = "; ".join(f"not run at x0={x0}: {e}"
+                        for x0, e in zip(("1/2", "3/2", "5/2"), errors))
+    for name in ("potential_recovery", "krichever_relation"):
+        assert checks[name] == {"name": name, "pass": False,
+                                "detail": skipped}
+
+
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(["construct", "--genus", "1", "--out",
+                              str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == (f"parameter error: cannot write --out {path}: "
+                   "No such file or directory\n")
+
+
+@pytest.mark.parametrize("alpha", ["a0=1,a1=1,a2=1,a3=1,a0=2",
+                                   "a0=sym,a3=1,a0=1", "a3=1,a3=1"])
+def test_repeated_alpha_name_is_rejected(alpha, capsys):
+    code, out, err = run_cli(["construct", "--genus", "1", "--alpha",
+                              alpha], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parameter error: parameter ")
+    assert err.endswith(" bound twice\n")
+
+
+def test_construct_stdout_matches_benchmark_refs(capsys, monkeypatch):
+    # the emitted JSON is a contract: the self-check case and the g = 6, 8
+    # construct-highg cases of seed 1107 must hash to their recorded sha256
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    workloads = importlib.import_module("workloads")
+    run = importlib.import_module("run")
+    refs = json.loads((bench / "construct_refs.json").read_text())["cases"]
+    todo = [workloads.Case("construct", 1, run.SELF_CHECK_ALPHA)]
+    todo += [c for c in workloads.cases("construct-highg", 1107)
+             if c.genus in (6, 8)]
+    assert [c.genus for c in todo] == [1, 6, 8]
+    for case in todo:
+        code, out, _ = run_cli(["construct", "--genus", str(case.genus),
+                                "--alpha", case.alpha], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == refs[case.id]

@@ -2,6 +2,7 @@
 the independent commutant solver."""
 
 import math
+import random
 
 import pytest
 
@@ -163,6 +164,30 @@ def test_left_multiplication_pinned():
         wrong = wrong + op_mul(power, block)  # reversed order
     assert not commutator(l4, wrong).is_zero()
     assert commutator(l4, build_companion(qp, l4)).is_zero()
+
+
+def power_sum_companion(qp, l4: DiffOp) -> DiffOp:
+    """sum_j B_j ∘ L^j with every power of L formed: the reference for
+    build_companion, which sums the same blocks by Horner's rule."""
+    result, power = DiffOp.zero(), DiffOp.identity()
+    for j, qj in enumerate(qp.q_z_coeffs()):
+        if j:
+            power = op_mul(power, l4)
+        qjx = qj.diff("x")
+        block = DiffOp([qj * qp.v + Rat(1, 2) * qjx.diff("x"), -qjx, qj])
+        result = result + op_mul(block, power)
+    return result
+
+
+@pytest.mark.parametrize("g,params", (
+    [pytest.param(g, random_param_tuple(random.Random(1107 + g)),
+                  id=f"numeric-g{g}") for g in range(1, 7)]
+    + [pytest.param(g, SLICE, id=f"slice-g{g}") for g in range(1, 5)]
+    + [pytest.param(g, {}, id=f"symbolic-g{g}") for g in (1, 2, 3)]))
+def test_companion_matches_power_sum(g, params):
+    qp = build_q(g, params)
+    l4 = build_quartic(g, params)
+    assert build_companion(qp, l4) == power_sum_companion(qp, l4)
 
 
 def test_certificates_symbolic_slice():

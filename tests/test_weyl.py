@@ -139,14 +139,17 @@ def test_poly_of_op_coefficients_act_left():
     assert got != op_mul(D, X)
 
 
-def left_product_poly_of_op(c: list[Poly], op: DiffOp) -> DiffOp:
-    """sum_j c_j ∘ op^j with each c_j multiplied on as an operator: the
-    reference for poly_of_op, which scales op^j by c_j instead."""
+def left_product_poly_of_op(c: list, op: DiffOp) -> DiffOp:
+    """sum_j c_j ∘ op^j with the powers of op formed one by one and each
+    c_j (a DiffOp, or a Poly read as multiplication by it) multiplied on
+    the left: the reference for poly_of_op, which runs Horner's rule."""
     result, power = DiffOp.zero(), DiffOp.identity()
     for j, cj in enumerate(c):
         if j:
             power = op_mul(power, op)
-        result = result + op_mul(DiffOp.from_poly(cj), power)
+        if not isinstance(cj, DiffOp):
+            cj = DiffOp.from_poly(cj)
+        result = result + op_mul(cj, power)
     return result
 
 
@@ -154,12 +157,25 @@ def left_product_poly_of_op(c: list[Poly], op: DiffOp) -> DiffOp:
                          ids=["numeric", "symbolic"])
 def test_poly_of_op_matches_left_product(variables):
     rng = random.Random(31)
+
+    def rand():
+        return random_poly(rng, vars=variables, max_exp=2, n_terms=3)
+
     for _ in range(6):
-        op = DiffOp([random_poly(rng, vars=variables, max_exp=2, n_terms=3)
-                     for _ in range(3)] + [Poly.one()])
-        c = [random_poly(rng, vars=variables, max_exp=2, n_terms=3)
-             for _ in range(4)]
+        op = DiffOp([rand() for _ in range(3)] + [Poly.one()])
+        c = [rand() for _ in range(4)]
         assert poly_of_op(c, op) == left_product_poly_of_op(c, op)
+        # x-dependent operator blocks, a zero block in the middle and at
+        # the top, and a Poly among them: a block multiplied on the right
+        # of op^j, or a Horner step skipped at a zero block, changes the sum
+        blocks = [DiffOp([rand(), rand(), x + rand()]),
+                  DiffOp.zero(),
+                  rand(),
+                  DiffOp([rand(), x * rand() + x]),
+                  DiffOp.zero()]
+        got = poly_of_op(blocks, op)
+        assert got == left_product_poly_of_op(blocks, op)
+        assert got.order() == 3 * op.order() + 1
 
 
 def test_poly_of_op_rejects_z():
