@@ -28,8 +28,8 @@ from .qsolver import (DegreeError, NormalizationError, QPolynomial,
                       derived_ode_residual, extract_curve, q_ode_residual,
                       trace_identity_residual)
 from .series import LaurentSeries, TruncationError, series_from_poly
-from .weyl import (DiffOp, TermBudgetError, adjoint, anticommutator,
-                   apply_to, commutator, is_self_adjoint, op_mul, poly_of_op)
+from .weyl import (DiffOp, adjoint, anticommutator, apply_to, commutator,
+                   is_self_adjoint, op_mul, poly_of_op)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -19,11 +19,13 @@ usage, 3 internal consistency error.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 import time
 
-from .curve import ParamError, SpectralCurve, is_nonsingular
+from .curve import PARAM_NAMES, ParamError, SpectralCurve, is_nonsingular
 from .curvefun import (expand_at_infinity, expansion_report,
                        reduction_coefficients, reduction_residuals)
 from .numeric import (DegenerateDerivativeError, MultipleRootError, roots_z,
@@ -54,7 +56,7 @@ def _parse_alpha(text: str) -> dict:
         name, value = item.split("=", 1)
         name = name.strip()
         value = value.strip()
-        if name not in ("a0", "a1", "a2", "a3"):
+        if name not in PARAM_NAMES:
             raise ParamError(f"unknown parameter {name!r}")
         if name in seen:
             raise ParamError(f"parameter {name!r} bound twice")
@@ -69,7 +71,7 @@ def _parse_alpha(text: str) -> dict:
 
 
 def _is_numeric(params: dict) -> bool:
-    return all(name in params for name in ("a0", "a1", "a2", "a3"))
+    return all(name in params for name in PARAM_NAMES)
 
 
 def _positive_int(text: str) -> int:
@@ -77,10 +79,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
     return value
-
-
-def _rat_arg(text: str) -> Rat:
-    return Rat(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -123,6 +121,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("examples",
                    help="reproduce the recorded genus-2/3 closed forms")
     return parser
+
+
+def _check_out(out_path: str | None) -> None:
+    """Reject an --out that cannot be written before any work is done.
+    The file is neither created nor truncated here; _emit still reports
+    an error that only the write itself finds."""
+    if not out_path:
+        return
+    parent = os.path.dirname(out_path) or "."
+    if os.path.isdir(out_path):
+        err = errno.EISDIR
+    elif not os.path.isdir(parent):
+        err = errno.ENOENT
+    elif not os.access(out_path if os.path.exists(out_path) else parent,
+                       os.W_OK):
+        err = errno.EACCES
+    else:
+        return
+    raise ParamError(f"cannot write --out {out_path}: {os.strerror(err)}")
 
 
 def _emit(doc: dict, out_path: str | None) -> None:
@@ -306,6 +323,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out(getattr(args, "out", None))
         if args.command == "construct":
             return cmd_construct(args)
         if args.command == "verify":

@@ -19,6 +19,17 @@ class ParamError(ValueError):
     """Invalid parameter binding (missing value, or a3 = 0)."""
 
 
+PARAM_NAMES = ("a0", "a1", "a2", "a3")
+
+
+def require_bound(*polys: Poly) -> None:
+    """Raise ParamError naming the first parameter that occurs in one of
+    the polynomials."""
+    for name in PARAM_NAMES:
+        if any(p.degree(name) > 0 for p in polys):
+            raise ParamError(f"parameter {name} left unbound")
+
+
 @dataclass(frozen=True)
 class SpectralCurve:
     """Monic F(z) = z^(2g+1) + c_{2g} z^(2g) + ... + c_0.
@@ -75,7 +86,5 @@ def is_nonsingular(curve: SpectralCurve, params: dict) -> bool:
     if "a3" in params and Poly.rat(params["a3"]).is_zero():
         raise ParamError("a3 must be nonzero")
     f = curve.as_poly().eval(params)
-    for name in ("a0", "a1", "a2", "a3"):
-        if f.degree(name) > 0:
-            raise ParamError(f"parameter {name} left unbound")
+    require_bound(f)
     return not discriminant(f, "z").is_zero()

@@ -75,10 +75,6 @@ class CurveFun:
     def w(ctx: CurveContext) -> "CurveFun":
         return CurveFun(ctx, Poly.zero(), Poly.one(), 0)
 
-    @staticmethod
-    def zero(ctx: CurveContext) -> "CurveFun":
-        return CurveFun(ctx, Poly.zero(), Poly.zero(), 0)
-
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -118,10 +114,6 @@ class CurveFun:
         a = self.a * other.a + self.b * other.b * f
         b = self.a * other.b + self.b * other.a
         return CurveFun(self.ctx, a, b, self.m + other.m)
-
-    def scale(self, factor) -> "CurveFun":
-        p = factor if isinstance(factor, Poly) else Poly.rat(factor)
-        return CurveFun(self.ctx, self.a * p, self.b * p, self.m)
 
     def diff_x(self) -> "CurveFun":
         """x-derivative by the quotient rule; w and z are point
@@ -194,39 +186,49 @@ def reduction_residuals(u0: CurveFun, u1: CurveFun,
 
 def expand_w(curve: SpectralCurve, trunc: int) -> LaurentSeries:
     """Series of w = sqrt(F(z)) at infinity in k = 1/sqrt(z), on the branch
-    with leading term k^-(2g+1)."""
+    with leading term k^-(2g+1), to O(k^trunc).
+
+    w = k^-d sqrt(k^(2d) F) with d = 2g+1, so the unit k^(2d) F, and F
+    itself, are needed only to O(k^(trunc+d)) and O(k^(trunc-d)).
+    """
     d = 2 * curve.g + 1
-    f_series = series_from_poly(curve.as_poly(), trunc + 2 * d)
-    unit = f_series.shift(2 * d)
-    return unit.sqrt().shift(-d).truncate(trunc)
+    if trunc <= -d:
+        return LaurentSeries.zero(trunc)
+    unit = series_from_poly(curve.as_poly(), trunc - d).shift(2 * d)
+    return unit.sqrt().shift(-d)
 
 
 def expand_at_infinity(u: CurveFun, order: int) -> LaurentSeries:
     """Laurent expansion of a curve function at infinity, O(k^order).
 
     Substitutes z = k^(-2) and w = k^-(2g+1) sqrt(1 + c_{2g} k^2 + ...),
-    expands 1/Q^m geometrically, and multiplies out.  The working budget
-    is chosen from the degrees involved so the result reaches the
-    requested order; TruncationError otherwise.
+    expands 1/Q^m geometrically, and multiplies out.  Each factor is
+    taken only as far as the result needs: Q is monic of z-degree g, so
+    Q^-m = k^(2gm)(1 + O(k)), and the numerator N = A + B*w is needed to
+    O(k^n) with n = order - 2gm, B*w = k^(val B - 2g - 1)(...) to the
+    same order, and Q^-m to O(k^(order - val N)).  TruncationError if
+    the result still falls short of O(k^order).
     """
     if order < 1:
         raise ValueError("expansion order must be >= 1")
     g = u.ctx.curve.g
-    dz = max(u.a.degree("z"), u.b.degree("z"), 0)
-    budget = order + 2 * dz + (2 * g + 1) + 2 * g * u.m + 6
-    a_s = series_from_poly(u.a, budget)
-    out = a_s
-    if not u.b.is_zero():
-        w_s = expand_w(u.ctx.curve, budget)
-        out = out + series_from_poly(u.b, budget) * w_s
+    n = order - 2 * g * u.m
+    # when B*w = O(k^n), B = 0 included, b_s is the zero series
+    # O(k^(n+2g+1)) and w is asked for to O(k^-(2g+1)), which is zero
+    b_s = series_from_poly(u.b, n + 2 * g + 1)
+    num = (series_from_poly(u.a, n)
+           + b_s * expand_w(u.ctx.curve, n - b_s.val))
+    if num.is_zero():
+        return LaurentSeries.zero(order)
     if u.m:
-        q_s = series_from_poly(u.ctx.q.q, budget)
-        out = out * q_s.inverse() ** u.m
-    if out.trunc < order:
+        q_s = series_from_poly(u.ctx.q.q,
+                               order - num.val - 2 * g * (u.m + 1))
+        num = num * q_s.inverse() ** u.m
+    if num.trunc < order:
         raise TruncationError(
-            f"internal budget reached only O(k^{out.trunc}), "
+            f"expansion reached only O(k^{num.trunc}), "
             f"needed O(k^{order})")
-    return out.truncate(order)
+    return num
 
 
 def expansion_report(s0: LaurentSeries, s1: LaurentSeries,

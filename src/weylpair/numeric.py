@@ -23,7 +23,7 @@ enter only through these polynomial statements.
 
 from __future__ import annotations
 
-from .curve import ParamError, SpectralCurve
+from .curve import SpectralCurve, require_bound
 from .poly import NotDivisibleError, Poly, Rat, discriminant, resultant
 from .qsolver import DegreeError, QPolynomial, XDependenceError, extract_curve
 
@@ -39,9 +39,7 @@ class DegenerateDerivativeError(RuntimeError):
 
 def _bind(qp: QPolynomial, params: dict | None) -> QPolynomial:
     qp = qp.eval_params(params) if params else qp
-    for name in ("a0", "a1", "a2", "a3"):
-        if qp.q.degree(name) > 0 or qp.v.degree(name) > 0:
-            raise ParamError(f"parameter {name} left unbound")
+    require_bound(qp.q, qp.v)
     return qp
 
 

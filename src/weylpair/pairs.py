@@ -39,9 +39,10 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .curve import ParamError, SpectralCurve
+from .curve import PARAM_NAMES, ParamError, SpectralCurve
 from .poly import Poly, Rat
-from .qsolver import QPolynomial, potentials, resolve_alphas
+from .qsolver import (QPolynomial, build_q, extract_curve, potentials,
+                      resolve_alphas)
 from .weyl import (DiffOp, anticommutator, commutator, op_mul, poly_of_op,
                    x0_of_product)
 
@@ -97,8 +98,6 @@ def build_companion(qp: QPolynomial, l4: DiffOp) -> DiffOp:
 
 
 def build_pair(g: int, params: dict | None = None) -> OperatorPair:
-    from .qsolver import build_q, extract_curve
-
     qp = build_q(g, params)
     curve = extract_curve(qp)
     l4 = build_quartic(g, params)
@@ -312,11 +311,8 @@ def commutant_solve(l4: DiffOp, order: int, known: DiffOp | None = None):
     commuting operator outside it means a defect).  The solver reads only
     L, never Q or the closed-form companion.
     """
-    for c in l4.coeffs:
-        for name in ("a0", "a1", "a2", "a3"):
-            if c.degree(name) > 0:
-                raise ValueError(
-                    "commutant_solve requires numeric parameters")
+    if any(c.degree(name) > 0 for c in l4.coeffs for name in PARAM_NAMES):
+        raise ValueError("commutant_solve requires numeric parameters")
     if l4.order() != 4 or l4.coeff(4) != Poly.one():
         raise ValueError("commutant_solve requires a monic L of order 4")
     # l_derivs[i][s] = l_i^(s), for s up to deg l_i

@@ -212,13 +212,6 @@ class Poly:
             buckets[e][k - (e << s)] = c
         return [_make(b, self.den) for b in buckets]
 
-    def leading(self) -> tuple[int, Rat]:
-        """(packed key, coefficient) of the graded-lex leading term."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        best = max(self.terms, key=_glex)
-        return best, Rat(self.terms[best], self.den)
-
     def term_count(self) -> int:
         return len(self.terms)
 
@@ -331,10 +324,6 @@ class Poly:
         if other is NotImplemented:
             return NotImplemented
         return self.den == other.den and self.terms == other.terms
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
 
     def __bool__(self):
         return bool(self.terms)

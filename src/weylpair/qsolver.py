@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .poly import Poly, Rat
-from .curve import SpectralCurve, ParamError
+from .curve import PARAM_NAMES, ParamError, SpectralCurve
 
 
 class RecursionDivisionError(ArithmeticError):
@@ -39,9 +39,6 @@ class DegreeError(ValueError):
     """The extracted spectral polynomial has the wrong shape in z."""
 
 
-_ALPHA_NAMES = ("a0", "a1", "a2", "a3")
-
-
 def resolve_alphas(params: dict | None) -> tuple[Poly, Poly, Poly, Poly]:
     """Turn a parameter binding into four coefficient polynomials.
 
@@ -50,11 +47,11 @@ def resolve_alphas(params: dict | None) -> tuple[Poly, Poly, Poly, Poly]:
     zero is rejected: the construction divides by a3.
     """
     params = params or {}
-    unknown = set(params) - set(_ALPHA_NAMES)
+    unknown = set(params) - set(PARAM_NAMES)
     if unknown:
         raise ParamError(f"unknown parameters {sorted(unknown)}")
     out = []
-    for name in _ALPHA_NAMES:
+    for name in PARAM_NAMES:
         if name in params and params[name] is not None:
             value = Poly.rat(params[name])
             if name == "a3" and value.is_zero():

@@ -98,17 +98,8 @@ class LaurentSeries:
                     out[i + j] = out[i + j] + a * b
         return LaurentSeries(val, out, trunc)
 
-    def scale(self, factor) -> "LaurentSeries":
-        f = factor if isinstance(factor, Poly) else Poly.rat(factor)
-        return LaurentSeries(self.val, [c * f for c in self.coeffs],
-                             self.trunc)
-
     def shift(self, d: int) -> "LaurentSeries":
         return LaurentSeries(self.val + d, list(self.coeffs), self.trunc + d)
-
-    def truncate(self, n: int) -> "LaurentSeries":
-        return LaurentSeries(self.val, list(self.coeffs),
-                             min(self.trunc, n))
 
     def __pow__(self, n: int) -> "LaurentSeries":
         if not isinstance(n, int) or n < 0:
@@ -187,16 +178,6 @@ class LaurentSeries:
 
     def __repr__(self):
         return f"LaurentSeries({self})"
-
-    def to_json(self) -> dict:
-        return {"val": self.val, "N": self.trunc,
-                "coeffs": [c.to_json() for c in self.coeffs]}
-
-    @staticmethod
-    def from_json(obj: dict) -> "LaurentSeries":
-        return LaurentSeries(obj["val"],
-                             [Poly.from_json(c) for c in obj["coeffs"]],
-                             obj["N"])
 
 
 def series_from_poly(p: Poly, trunc: int) -> LaurentSeries:

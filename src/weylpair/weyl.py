@@ -10,24 +10,8 @@ coefficient lists.
 from __future__ import annotations
 
 import math
-import os
 
 from .poly import Poly
-
-
-class TermBudgetError(RuntimeError):
-    """Raised when a product exceeds the WEYL_COMMUTE_MAX_TERMS budget."""
-
-
-def _check_budget(coeffs: list[Poly]) -> None:
-    cap = os.environ.get("WEYL_COMMUTE_MAX_TERMS")
-    if not cap:
-        return
-    total = sum(c.term_count() for c in coeffs)
-    if total > int(cap):
-        raise TermBudgetError(
-            f"operator has {total} polynomial terms, over the "
-            f"WEYL_COMMUTE_MAX_TERMS budget of {cap}")
 
 
 class DiffOp:
@@ -174,11 +158,8 @@ def op_mul(a: DiffOp, b: DiffOp) -> DiffOp:
     ax = _x_nums(a)
     bx = _x_nums(b) if ax is not None else None
     if bx is None:
-        out = _op_mul_terms(a, b)
-    else:
-        out = _op_mul_kronecker(ax, bx)
-    _check_budget(out)
-    return DiffOp(out)
+        return DiffOp(_op_mul_terms(a, b))
+    return DiffOp(_op_mul_kronecker(ax, bx))
 
 
 def _x_nums(op: DiffOp) -> list[tuple[dict, int]] | None:

@@ -365,3 +365,67 @@ def test_construct_stdout_matches_benchmark_refs(capsys, monkeypatch):
                                 "--alpha", case.alpha], capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == refs[case.id]
+
+
+@pytest.mark.parametrize("target,reason",
+                         [("missing/x.json", "No such file or directory"),
+                          ("", "Is a directory")])
+@pytest.mark.parametrize("command", ["construct", "verify"])
+def test_unwritable_out_fails_before_any_work(command, target, reason,
+                                              tmp_path, monkeypatch, capsys):
+    def build_pair(*args, **kwargs):
+        raise AssertionError("build_pair called")
+
+    monkeypatch.setattr(cli, "build_pair", build_pair)
+    path = tmp_path / target
+    code, out, err = run_cli([command, "--genus", "1", "--out", str(path)],
+                             capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"parameter error: cannot write --out {path}: {reason}\n"
+
+
+def test_term_budget_variable_is_ignored(monkeypatch, capsys):
+    argv = ["verify", "--genus", "2", "--alpha", "a0=1,a1=0,a2=0,a3=1"]
+    monkeypatch.delenv("WEYL_COMMUTE_MAX_TERMS", raising=False)
+    code, unset, _ = run_cli(argv, capsys)
+    assert code == 0
+    monkeypatch.setenv("WEYL_COMMUTE_MAX_TERMS", "1")
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert out == unset
+
+
+T3 = ["--genus", "3", "--alpha", "a0=2,a1=3/4,a2=3,a3=1"]
+VERIFY_REFS = [
+    (["--genus", "2", "--alpha", "a0=1,a1=0,a2=0,a3=1"], 0,
+     "7f9b62983af95126b182635da51ac9f1e330dfd00e4c45def01391b9fe26b47d"),
+    (["--genus", "4", "--alpha", "a0=2,a1=3/4,a2=3,a3=1"], 0,
+     "4a69f8e2e8bb03783ad764906983a3eb6a0443bf9d71ee0fe4e4a1dd769261e0"),
+    (["--genus", "1", "--alpha", "a0=sym,a1=sym,a2=sym,a3=sym"], 0,
+     "78bffb08a170789bad0c42c2242efc43f3b17781c6d2cba58c0c509bc4c03748"),
+    (["--genus", "2", "--alpha", "a0=sym,a1=sym,a2=sym,a3=sym"], 0,
+     "2ee9427009611b99615f6fcd3fde845ac1bfad23dd8088d5108504d44e3e47aa"),
+    (["--genus", "3", "--alpha", "a0=sym,a1=0,a2=0,a3=1"], 0,
+     "717c7e2a1f8537c3352dcbda3df5541595dcf79c16671d7fb7a517083a245fbf"),
+    (["--genus", "1", "--alpha", "a0=1,a1=1,a2=-5,a3=-2"], 1,
+     "04985a6c3d2c8a88e7675bc404bdd62b2dd23fd9e844ab36a3722c26ad4982f1"),
+    (T3 + ["--series-order", "40"], 0,
+     "366de44e1a8f25b868b3e1cf2b924857c5bfa4d01e35ffb821a0e0ee4851e700"),
+    (T3 + ["--inject-fault", "q"], 1,
+     "e4ce46042da8f8aa313243e555d89024b6b360ad320058f9c4a2e259d891b906"),
+    (T3 + ["--inject-fault", "curve"], 1,
+     "48015b183179ee5230ec05a0ff7de2fcbbb8489d16e6348df264317a29200ce8"),
+    (T3 + ["--inject-fault", "companion"], 1,
+     "e538a4356a5e96eaa6acb4e928e34fd38b7d6dd8fc9537bccaab76c215923fd4"),
+]
+
+
+def test_verify_stdout_matches_parent(capsys):
+    # the verify report is a contract too: numeric, symbolic-slice and
+    # fully symbolic runs, the seed-503 degenerate sample point, a long
+    # series order and each injected fault keep their recorded stdout
+    for argv, expected_code, sha in VERIFY_REFS:
+        code, out, _ = run_cli(["verify", *argv], capsys)
+        assert code == expected_code, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == sha, argv

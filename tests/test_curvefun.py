@@ -244,3 +244,62 @@ def test_expansion_report_detects_injected_b1():
     rep = expansion_report(expand_at_infinity(u0, n), bad, qp, curve)
     assert not rep["self_adjoint_b1"]
     assert not rep["all"]
+
+
+# -- the truncations at infinity against the padded-budget reference --------
+
+def truncate(s, trunc):
+    return LaurentSeries(s.val, s.coeffs, min(s.trunc, trunc))
+
+
+def padded_expand_w(curve, trunc):
+    """expand_w with F expanded 4(2g+1) orders past the request."""
+    d = 2 * curve.g + 1
+    f_series = series_from_poly(curve.as_poly(), trunc + 2 * d)
+    unit = f_series.shift(2 * d)
+    return truncate(unit.sqrt().shift(-d), trunc)
+
+
+def padded_expand_at_infinity(u, order):
+    """expand_at_infinity with every factor expanded to one budget padded
+    by the degrees involved, then truncated."""
+    g = u.ctx.curve.g
+    dz = max(u.a.degree("z"), u.b.degree("z"), 0)
+    budget = order + 2 * dz + (2 * g + 1) + 2 * g * u.m + 6
+    out = series_from_poly(u.a, budget)
+    if not u.b.is_zero():
+        w_s = padded_expand_w(u.ctx.curve, budget)
+        out = out + series_from_poly(u.b, budget) * w_s
+    if u.m:
+        q_s = series_from_poly(u.ctx.q.q, budget)
+        out = out * q_s.inverse() ** u.m
+    assert out.trunc >= order
+    return truncate(out, order)
+
+
+def series_parts(s):
+    return s.val, s.trunc, s.coeffs
+
+
+NUMERIC = {"a0": Rat(2), "a1": Rat(3, 4), "a2": Rat(3), "a3": Rat(1)}
+
+
+@pytest.mark.parametrize("g,params", [(1, NUMERIC), (2, NUMERIC),
+                                      (3, NUMERIC), (4, NUMERIC),
+                                      (1, None), (2, None)],
+                         ids=["g1", "g2", "g3", "g4", "g1-sym", "g2-sym"])
+def test_expansions_match_padded_budget(g, params):
+    _, qp, curve = make_ctx(g, params)
+    u0, u1 = reduction_coefficients(qp, curve)
+    funs = {"u0": u0, "u1": u1, "u0*u1": u0 * u1, "u0-u0": u0 - u0}
+    assert funs["u0*u1"].m == 2 and funs["u0-u0"].m == 1
+    for order in range(1, 2 * g + 11):
+        for name, u in funs.items():
+            assert (series_parts(expand_at_infinity(u, order))
+                    == series_parts(padded_expand_at_infinity(u, order))), \
+                (name, order)
+    # below T = -4(2g+1) + 1 the padded expand_w has no term left to take
+    # the square root of
+    for trunc in range(-4 * (2 * g + 1) + 1, 2 * g + 11):
+        assert (series_parts(expand_w(curve, trunc))
+                == series_parts(padded_expand_w(curve, trunc))), trunc
