@@ -137,21 +137,23 @@ def op_mul(a: DiffOp, b: DiffOp) -> DiffOp:
 
     When every coefficient of both operands involves x alone (the case
     after numeric parameters are bound), the product is computed exactly
-    in integers by Kronecker substitution: the numerators of each operand
-    are brought over its one lcm denominator, and each A_k and b^(k) is
-    packed into one big int whose slot (o, d) holds the coefficient of
-    x^d D^o.  The slots are balanced signed digits of w bits, w a multiple
-    of 8, at index o*stride + d with stride = deg_x(a) + deg_x(b) + 1, so
-    no x-degree of the product reaches the next order's slots.  One int
-    multiply per k and a single unpack of the sum give the product over
-    Da*Db.  Every slot of a product A_k * b^(k) is a sum of products of one
-    entry of each, so its magnitude is at most |A_k|_1 * |b^(k)|_inf, and
-    every slot of the sum at most S = sum_k |A_k|_1 * |b^(k)|_inf over the
-    k with b^(k) != 0.  Both factors of each such term are at least 1 (A_k
-    holds C(na,k) times the leading coefficient of a), so S also bounds
-    every packed entry.  w is the least multiple of 8 with 2^(w-1) > S, so
-    every digit is read back exactly.  Operands with symbolic parameters
-    take the term-by-term loop instead.
+    in integers by Kronecker substitution, one coefficient at a time: the
+    numerators of each operand are brought over its one lcm denominator,
+    and each a_i and each b_j^(k) is packed into one big int whose slot d
+    holds its coefficient of x^d, in deg_x(a) + 1 or deg_x(b) + 1 slots of
+    w bits (balanced signed digits, w a multiple of 8).  The rule
+    (a∘b)_o = sum C(i,k) a_i b_j^(k) over i + j - k = o then costs one int
+    multiply per nonzero (i, j, k), summed into one int per order o, and
+    each order is unpacked once, over Da*Db.  Slot d of a_i * b_j^(k) is a
+    sum of products of one entry of each, so its magnitude is at most
+    |a_i|_1 * |b_j^(k)|_inf.  For fixed o and k, j is fixed by i, so each
+    i adds at most one such term; every slot of order o is therefore at
+    most S = sum_k (sum_i C(i,k) |a_i|_1) * max_j |b_j^(k)|_inf over the k
+    with b^(k) != 0.  Both factors of each such term are at least 1 (the
+    first holds C(na,k) |a_na|_1), so S also bounds every packed entry.
+    w is the least multiple of 8 with 2^(w-1) > S, so every digit is read
+    back exactly.  Operands with symbolic parameters take the
+    term-by-term loop instead.
     """
     if a.is_zero() or b.is_zero():
         return DiffOp.zero()
@@ -246,13 +248,13 @@ def _dx(cols: list[dict]) -> list[dict]:
 def _op_mul_kronecker(ax: list[tuple[dict, int]],
                       bx: list[tuple[dict, int]]) -> list[Poly]:
     """The product of two x-only operators given as per-order
-    ({x-degree: numerator}, den) pairs; see op_mul for the layout and the
-    bound."""
+    ({x-degree: numerator}, den) pairs; see op_mul for the packing and
+    the bound."""
     da, ai = _clear_denominators(ax)
     db, bi = _clear_denominators(bx)
     na, nb = len(ai) - 1, len(bi) - 1
-    stride = (max(max(t, default=0) for t in ai)
-              + max(max(t, default=0) for t in bi) + 1)
+    sa = max(max(t, default=0) for t in ai) + 1
+    sb = max(max(t, default=0) for t in bi) + 1
     l1 = [sum(map(abs, t.values())) for t in ai]
     # b^(k) is derived twice, not stored, to keep peak memory down
     deriv = bi
@@ -264,34 +266,29 @@ def _op_mul_kronecker(ax: list[tuple[dict, int]],
         deriv = _dx(deriv)
         ks += 1
     wb = (bound.bit_length() + 8) // 8
-    total = 0
+    pa = [_pack(t, sa, wb) for t in ai]
+    acc = [0] * (na + nb + 1)
     b_k = bi
     for k in range(ks):
         if k:
             b_k = _dx(b_k)
-        a_slots = {}
+        pb = [(j, _pack(t, sb, wb)) for j, t in enumerate(b_k) if t]
         for i in range(k, na + 1):
-            cik = math.comb(i, k)
-            base = (i - k) * stride
-            for d, c in ai[i].items():
-                a_slots[base + d] = cik * c
-        b_slots = {j * stride + d: c
-                   for j, t in enumerate(b_k) for d, c in t.items()}
-        total += (_pack(a_slots, (na - k + 1) * stride, wb)
-                  * _pack(b_slots, (nb + 1) * stride, wb))
-    n = (na + nb + 1) * stride
+            f = math.comb(i, k) * pa[i]
+            if f:
+                for j, p in pb:
+                    acc[i + j - k] += f * p
+    n = sa + sb - 1
     half = 1 << (8 * wb - 1)
     empty = _offsets(1, wb)
-    total += int.from_bytes(_offsets(n, wb), "little")
-    buf = total.to_bytes(n * wb, "little")
-    del total
+    offset = int.from_bytes(_offsets(n, wb), "little")
     den = da * db
     out = []
-    for o in range(na + nb + 1):
+    for o, total in enumerate(acc):
+        buf = (total + offset).to_bytes(n * wb, "little")
         terms = {}
-        for d in range(stride):
-            s = (o * stride + d) * wb
-            chunk = buf[s:s + wb]
+        for d in range(n):
+            chunk = buf[d * wb:(d + 1) * wb]
             if chunk != empty:
                 terms[d] = int.from_bytes(chunk, "little") - half
         out.append(Poly.from_x_nums(terms, den))

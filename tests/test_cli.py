@@ -349,17 +349,17 @@ def test_repeated_alpha_name_is_rejected(alpha, capsys):
 
 
 def test_construct_stdout_matches_benchmark_refs(capsys, monkeypatch):
-    # the emitted JSON is a contract: the self-check case and the g = 6, 8
-    # construct-highg cases of seed 1107 must hash to their recorded sha256
+    # the emitted JSON is a contract: the self-check case and every
+    # construct-highg case of seed 1107 (g = 6, 8, 10 and both g = 12, where
+    # the operator products are largest) must hash to their recorded sha256
     bench = Path(__file__).resolve().parents[1] / "bench"
     monkeypatch.syspath_prepend(str(bench))
     workloads = importlib.import_module("workloads")
     run = importlib.import_module("run")
     refs = json.loads((bench / "construct_refs.json").read_text())["cases"]
     todo = [workloads.Case("construct", 1, run.SELF_CHECK_ALPHA)]
-    todo += [c for c in workloads.cases("construct-highg", 1107)
-             if c.genus in (6, 8)]
-    assert [c.genus for c in todo] == [1, 6, 8]
+    todo += workloads.cases("construct-highg", 1107)
+    assert [c.genus for c in todo] == [1, 6, 8, 10, 12, 12]
     for case in todo:
         code, out, _ = run_cli(["construct", "--genus", str(case.genus),
                                 "--alpha", case.alpha], capsys)

@@ -7,6 +7,7 @@ import pytest
 import sympy
 
 from weylpair import weyl
+from weylpair.pairs import build_pair
 from weylpair.poly import Poly, Rat
 from weylpair.weyl import (DiffOp, adjoint, anticommutator, apply_to,
                            commutator, is_self_adjoint, op_mul, poly_of_op)
@@ -284,8 +285,9 @@ def test_kronecker_slot_boundaries():
 
 def test_kronecker_slot_width_at_its_bound():
     # a = c*D^n and b_j = sum_d (m!/d!) x^d for j <= n: every b^(k) peaks
-    # at m! on x^0, so slot (n, 0) of the product is c*m!*2^n, exactly the
-    # bound sum_k |A_k|_1 * |b^(k)|_inf the slot width is taken from.
+    # at m! on x^0, so the x^0 coefficient of D^n in the product is
+    # c*m!*2^n, exactly the bound sum_k (sum_i C(i,k) |a_i|_1) *
+    # max_j |b_j^(k)|_inf the slot width is taken from.
     # Scaling c through 2^0..2^7 moves that bound across every byte
     # alignment, so a width one bit short, or a bound that drops any k,
     # misreads the slot.
@@ -301,6 +303,38 @@ def test_kronecker_slot_width_at_its_bound():
             assert prod == schoolbook_op_mul(a, b), c
             assert (prod.coeff(n).coeff_in("x", 0).const_value()
                     == c * math.factorial(m) * 2**n)
+
+
+def x_op(rng, degrees, bits) -> DiffOp:
+    """An x-only operator whose coefficient of D^i is a dense random
+    polynomial of x-degree degrees[i] with signed numerators of `bits`
+    bits over small denominators, or zero where degrees[i] is None."""
+    def coeff(deg):
+        if deg is None:
+            return Poly.zero()
+        return x_poly({d: Rat(rng.choice((-1, 1))
+                              * (rng.getrandbits(bits) | 1 << (bits - 1)),
+                              rng.choice((1, 2, 3, 8, 15)))
+                       for d in range(deg + 1)})
+    return DiffOp([coeff(deg) for deg in degrees])
+
+
+def test_kronecker_matches_schoolbook_construct_shapes(monkeypatch):
+    # the operand shapes of construct: Horner steps R∘L with R of high
+    # order, x-degree and numerator size and L as build_quartic gives it
+    # (x-degrees 6/2/3/-/0 by order), the reverse L∘R of the commutator,
+    # right operands whose b_j^(k) vanish at a different k in each order,
+    # zero coefficients at order 0 and in the middle, and a left operand
+    # of x-degree 0
+    forbid(monkeypatch, "_op_mul_terms")
+    rng = random.Random(16)
+    ell = x_op(rng, [6, 2, 3, None, 0], 40)
+    r = x_op(rng, [30 + i % 3 for i in range(21)], 210)
+    mixed = x_op(rng, [None, 9, 0, 4, None, 0, 12, 1, 0], 64)
+    flat = x_op(rng, [0, None, 0, 0, None, 0], 90)
+    for a, b in ((r, ell), (ell, r), (ell, mixed), (mixed, ell),
+                 (r, mixed), (flat, r), (flat, mixed), (mixed, flat)):
+        assert op_mul(a, b) == schoolbook_op_mul(a, b)
 
 
 def test_kronecker_zero_and_identity_operands():
@@ -362,6 +396,16 @@ def test_x_only_operands_take_kernel(monkeypatch):
     forbid(monkeypatch, "_op_mul_terms")
     a = random_x_op(random.Random(4), 5, 70)
     assert op_mul(a, a) == schoolbook_op_mul(a, a)
+
+
+def test_numeric_pair_products_take_kernel(monkeypatch):
+    # construct and the commutation certificate on numeric parameters
+    # must run every product through the kernel, not the term loop
+    forbid(monkeypatch, "_op_mul_terms")
+    pair = build_pair(6, {"a0": Rat(2), "a1": Rat(3, 4), "a2": Rat(3),
+                          "a3": Rat(1)})
+    assert pair.m.order() == 26
+    assert pair.bracket.is_zero()
 
 
 @pytest.mark.parametrize("path,other", [("kernel", Poly.one()), ("terms", a0)])
