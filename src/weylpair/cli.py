@@ -10,10 +10,10 @@ Three subcommands:
                report exact matches or coefficient diffs, and exit 1 on
                any diff or false certificate
 
-Machine-readable JSON goes to stdout (or --out); a human summary,
-including timings, goes to stderr so the JSON output is byte-identical
-across runs.  Exit codes: 0 success, 1 failed check, 2 bad parameters or
-usage, 3 internal consistency error.
+Machine-readable JSON goes to stdout (or to the --out of construct and
+verify); a human summary, including timings, goes to stderr so the JSON
+output is byte-identical across runs.  Exit codes: 0 success, 1 failed
+check, 2 bad parameters or usage, 3 internal consistency error.
 """
 
 from __future__ import annotations
@@ -315,7 +315,7 @@ def cmd_examples(args) -> int:
         for order, diff in rep["companion_diff"]:
             print(f"  constructed - recorded at D^{order}: {diff}",
                   file=sys.stderr)
-    _emit(doc, getattr(args, "out", None))
+    _emit(doc, None)
     return 1 if failed else 0
 
 

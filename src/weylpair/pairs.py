@@ -218,47 +218,30 @@ def match_reference_examples() -> dict:
 
 # -- independent commutant solver -------------------------------------------
 
-def _nullspace_affine(rows: list[list[Rat]], rhs: list[Rat]):
-    """Exact solution set of rows*u = rhs over the rationals.
+def _lead(op: DiffOp):
+    """The leading term of a nonzero operator, (len(coeffs), largest
+    packed monomial key of the top coefficient), and its coefficient."""
+    top = op.coeffs[-1]
+    key = max(top.terms)
+    return (len(op.coeffs), key), Rat(top.terms[key], top.den)
 
-    Returns (particular, basis) where basis spans the homogeneous
-    solutions, or None when the system is inconsistent.
-    """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(rows)]
-    pivots: list[int] = []
-    r = 0
-    for col in range(n):
-        pivot = next((i for i in range(r, m) if aug[i][col]), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = 1 / aug[r][col]
-        aug[r] = [v * inv for v in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-        if r == m:
+
+def _reduce(op: DiffOp, combo: dict, pivots: dict):
+    """Subtract (lc_op / lc_pivot) * pivot while op's leading term is a
+    pivot's; return the rest and combo, updated to match.  pivots maps a
+    leading term to (pivot, its combination {index: Rat}); their leading
+    terms differ, so a nonzero rest whose leading term is no pivot's lies
+    outside their span."""
+    while not op.is_zero():
+        lead, lc = _lead(op)
+        if lead not in pivots:
             break
-    for i in range(r, m):
-        if aug[i][n]:
-            return None
-    particular = [Rat(0)] * n
-    for i, col in enumerate(pivots):
-        particular[col] = aug[i][n]
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Rat(0)] * n
-        vec[fc] = Rat(1)
-        for i, col in enumerate(pivots):
-            vec[col] = -aug[i][fc]
-        basis.append(vec)
-    return particular, basis
+        pivot, pivot_combo = pivots[lead]
+        f = lc / _lead(pivot)[1]
+        op = op - pivot.scale(f)
+        for i, c in pivot_combo.items():
+            combo[i] = combo.get(i, 0) - f * c
+    return op, combo
 
 
 def _affine_map(form: dict, fn) -> dict:
@@ -301,8 +284,12 @@ def commutant_solve(l4: DiffOp, order: int, known: DiffOp | None = None):
     constants: a dict from None (the constant part) and each k' to the
     polynomial multiplying 1 and c_k'.  The antiderivative of a
     polynomial is a polynomial, so no degree bound is guessed and the set
-    found is the whole solution set.  What remains, the D^0..D^2
-    coefficients of [L, M], is a linear system in the n constants.
+    found is the whole solution set.  What remains is an order-2
+    operator, the D^0..D^2 part of [L, M], equal to v(None) + sum_k c_k
+    v(k).  _reduce takes v(0), v(1), ... in turn: one spanned by those
+    before gives the basis vector with c_k = 1, any other becomes a pivot,
+    and v(None) must reduce to zero.  These are the free-column basis and
+    the particular solution of reduced row echelon form.
 
     Returns (particular, basis): the affine solution set is particular +
     span(basis).  Raises ValueError when the system is inconsistent.  If
@@ -349,36 +336,35 @@ def commutant_solve(l4: DiffOp, order: int, known: DiffOp | None = None):
         mk[k] = Poly.one()
         m[k] = mk
         add_commutator(k, mk)
-    # D^0..D^2: one equation per (order, power of x); a single zero row
-    # when none is left, so that every constant is free
-    rows, rhs = [[Rat(0)] * order], [Rat(0)]
-    for form in acc[:3]:
-        cols = {}
-        for key, c in form.items():
-            nums, den = c.x_nums()
-            cols[key] = {d: Rat(n, den) for d, n in nums.items()}
-        for d in sorted(set().union(*cols.values())):
-            rows.append([cols[c].get(d, Rat(0)) if c in cols else Rat(0)
-                         for c in range(order)])
-            rhs.append(-cols.get(None, {}).get(d, Rat(0)))
-    solved = _nullspace_affine(rows, rhs)
-    if solved is None:
+
+    def v(key):  # D^0..D^2 of [L, M] = v(None) + sum_k c_k v(k)
+        return DiffOp([form.get(key, Poly.zero()) for form in acc[:3]])
+
+    pivots: dict = {}
+    basis_combos = []
+    for k in range(order):
+        rest, combo = _reduce(v(k), {k: 1}, pivots)
+        if rest.is_zero():
+            basis_combos.append(combo)
+        else:
+            pivots[_lead(rest)[0]] = (rest, combo)
+    rest, particular_combo = _reduce(v(None), {}, pivots)
+    if not rest.is_zero():
         raise ValueError(
             f"no monic operator of order {order} commutes with L")
-    particular_vec, basis_vecs = solved
 
-    def assemble(vec, const):
+    def assemble(combo, const):
         coeffs = []
         for mk in m:
             p = mk.get(None, Poly.zero()) if const else Poly.zero()
-            for c, u in enumerate(vec):
-                if u and c in mk:
+            for c, u in combo.items():
+                if c in mk:
                     p = p + u * mk[c]
             coeffs.append(p)
         return DiffOp(coeffs)
 
-    particular = assemble(particular_vec, True)
-    basis = [assemble(v, False) for v in basis_vecs]
+    particular = assemble(particular_combo, True)
+    basis = [assemble(c, False) for c in basis_combos]
     if known is not None and not in_affine_span(known, particular, basis):
         raise ValueError("known operator lies outside the commutant of L")
     return particular, basis
@@ -386,30 +372,16 @@ def commutant_solve(l4: DiffOp, order: int, known: DiffOp | None = None):
 
 def in_affine_span(op: DiffOp, particular: DiffOp,
                    basis: list[DiffOp]) -> bool:
-    """Whether op = particular + rational combination of basis, decided by
-    exact linear solve on the coefficient vectors."""
-    delta = op - particular
-    monos: dict = {}
-    vecs = []
+    """Whether op = particular + rational combination of basis.  The
+    basis is put in echelon form by _reduce, each nonzero rest becoming
+    the pivot of its leading term; then op - particular must reduce to
+    zero."""
+    pivots: dict = {}
     for b in basis:
-        entries = {}
-        for i, c in enumerate(b.coeffs):
-            for exps, coeff in c.sorted_terms():
-                monos.setdefault((i, exps), len(monos))
-                entries[(i, exps)] = coeff
-        vecs.append(entries)
-    target = {}
-    for i, c in enumerate(delta.coeffs):
-        for exps, coeff in c.sorted_terms():
-            monos.setdefault((i, exps), len(monos))
-            target[(i, exps)] = coeff
-    rows = []
-    rhs = []
-    for key in monos:
-        rows.append([v.get(key, Rat(0)) for v in vecs])
-        rhs.append(target.get(key, Rat(0)))
-    solved = _nullspace_affine(rows, rhs)
-    return solved is not None
+        rest, _ = _reduce(b, {}, pivots)
+        if not rest.is_zero():
+            pivots[_lead(rest)[0]] = (rest, {})
+    return _reduce(op - particular, {}, pivots)[0].is_zero()
 
 
 def is_power_span(basis: list[DiffOp], l4: DiffOp, g: int) -> bool:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .poly import Poly, Rat
+from .poly import NotDivisibleError, Poly, Rat
 from .curve import PARAM_NAMES, ParamError, SpectralCurve
 
 
@@ -140,7 +140,7 @@ def build_deltas(g: int, params: dict | None = None) -> list[Poly]:
         acc = acc * Rat(s + 1, (g - s) * (s + g + 1) * (2 * s + 1))
         try:
             deltas[s] = acc.exact_div(a3)
-        except Exception as exc:
+        except NotDivisibleError as exc:
             raise RecursionDivisionError(
                 f"delta_{s} is not divisible by a3") from exc
     return deltas

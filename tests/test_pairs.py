@@ -7,8 +7,7 @@ import random
 import pytest
 
 from weylpair.curve import ParamError, SpectralCurve
-from weylpair.pairs import (OperatorPair, _nullspace_affine,
-                            build_companion, build_pair,
+from weylpair.pairs import (OperatorPair, build_companion, build_pair,
                             build_quartic, commutant_solve, in_affine_span,
                             is_power_span, match_reference_examples,
                             operator_diff, quartic_from_potentials,
@@ -19,7 +18,7 @@ from weylpair.qsolver import build_q, potentials, resolve_alphas
 from weylpair.weyl import DiffOp, adjoint, commutator, is_self_adjoint, \
     op_mul, poly_of_op
 
-from conftest import random_param_tuple
+from conftest import random_param_tuple, random_poly
 
 x = Poly.var("x")
 a0 = Poly.var("a0")
@@ -45,6 +44,49 @@ def _op_from_coeffs(order: int, bounds: list[int], u: list[Rat]) -> DiffOp:
         coeffs.append(p)
     coeffs.append(Poly.one())
     return DiffOp(coeffs)
+
+
+def _nullspace_affine(rows: list[list[Rat]], rhs: list[Rat]):
+    """Exact solution set of rows*u = rhs over the rationals.
+
+    Returns (particular, basis) where basis spans the homogeneous
+    solutions, or None when the system is inconsistent.
+    """
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    aug = [list(row) + [rhs[i]] for i, row in enumerate(rows)]
+    pivots: list[int] = []
+    r = 0
+    for col in range(n):
+        pivot = next((i for i in range(r, m) if aug[i][col]), None)
+        if pivot is None:
+            continue
+        aug[r], aug[pivot] = aug[pivot], aug[r]
+        inv = 1 / aug[r][col]
+        aug[r] = [v * inv for v in aug[r]]
+        for i in range(m):
+            if i != r and aug[i][col]:
+                f = aug[i][col]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
+        pivots.append(col)
+        r += 1
+        if r == m:
+            break
+    for i in range(r, m):
+        if aug[i][n]:
+            return None
+    particular = [Rat(0)] * n
+    for i, col in enumerate(pivots):
+        particular[col] = aug[i][n]
+    free = [c for c in range(n) if c not in pivots]
+    basis = []
+    for fc in free:
+        vec = [Rat(0)] * n
+        vec[fc] = Rat(1)
+        for i, col in enumerate(pivots):
+            vec[col] = -aug[i][fc]
+        basis.append(vec)
+    return particular, basis
 
 
 def dense_commutant_solve(l4: DiffOp, order: int, slack: int = 0,
@@ -422,6 +464,77 @@ def test_commutant_solver_order4():
     assert len(basis) == 1
     assert basis[0].order() == 0
     assert in_affine_span(pair.l4, particular, basis)
+
+
+def dense_in_affine_span(op: DiffOp, particular: DiffOp,
+                         basis: list[DiffOp]) -> bool:
+    """Reference for in_affine_span: one dense elimination over the
+    coefficient vectors, indexed by (order, packed monomial key)."""
+    def vec(v: DiffOp) -> dict:
+        return {(i, key): Rat(num, c.den) for i, c in enumerate(v.coeffs)
+                for key, num in c.terms.items()}
+    vecs = [vec(b) for b in basis]
+    target = vec(op - particular)
+    keys = list(set(target).union(*vecs))
+    rows = [[v.get(key, Rat(0)) for v in vecs] for key in keys]
+    rhs = [target.get(key, Rat(0)) for key in keys]
+    return _nullspace_affine(rows, rhs) is not None
+
+
+def test_in_affine_span_edge_cases():
+    d1, d2, d3 = DiffOp.d(1), DiffOp.d(2), DiffOp.d(3)
+    xop, x2op = DiffOp.from_poly(x), DiffOp.from_poly(x**2)
+    xd = op_mul(xop, d1)
+    p = DiffOp([x**3, a0 * x, Poly.one()])
+    cases = [
+        # empty basis
+        (p, p, [], True), (p + xop, p, [], False),
+        (DiffOp.zero(), DiffOp.zero(), [], True),
+        # op == particular, and a basis of zero operators
+        (p, p, [d2, xd], True), (p + xop, p, [DiffOp.zero()], False),
+        # duplicate and dependent basis elements
+        (p + 2 * d2 - xop, p, [d2, d2, xop], True),
+        (p + x2op, p, [d2, d2, xop], False),
+        (p + d2 + 7 * xop, p, [d2, xop, d2 + 3 * xop], True),
+        (p + xd, p, [d2, xop, d2 + 3 * xop], False),
+        # equal leading terms, different lower terms: span{D + x, D + x^2}
+        # holds x - x^2 but neither x nor x^2
+        (xop - x2op, DiffOp.zero(), [d1 + xop, d1 + x2op], True),
+        (xop, DiffOp.zero(), [d1 + xop, d1 + x2op], False),
+        # the leading term is no pivot's while every lower term is spanned,
+        # at once and after one reduction step
+        (p + d3 + d2 + xop, p, [d2, xop], False),
+        (p + d2 + xd + xop, p, [d2, xop], False),
+        # parameter-bearing operators
+        (p + a0 * d2 - Rat(2, 3) * op_mul(DiffOp.from_poly(a0 * x), d1), p,
+         [d2, op_mul(DiffOp.from_poly(x), d1)], False),
+        (p + a0 * d2 - Rat(2, 3) * op_mul(DiffOp.from_poly(a0 * x), d1), p,
+         [a0 * d2, op_mul(DiffOp.from_poly(a0 * x), d1)], True),
+    ]
+    for op, particular, basis, expected in cases:
+        assert dense_in_affine_span(op, particular, basis) is expected
+        assert in_affine_span(op, particular, basis) is expected
+
+
+def test_in_affine_span_matches_dense_reference():
+    rng = random.Random(1107)
+    names = ("x", "a0")
+    for trial in range(40):
+        basis = [DiffOp([random_poly(rng, vars=names, max_exp=2, n_terms=2)
+                         for _ in range(rng.randint(1, 3))])
+                 for _ in range(rng.randint(0, 4))]
+        if basis and trial % 3 == 0:
+            basis.append(basis[0] - Rat(rng.randint(1, 5)) * basis[-1])
+        particular = DiffOp([random_poly(rng, vars=names, n_terms=3)])
+        op = particular
+        for b in basis:
+            op = op + Rat(rng.randint(-3, 3), rng.randint(1, 3)) * b
+        extra = DiffOp([random_poly(rng, vars=names, max_exp=2, n_terms=1)
+                        for _ in range(rng.randint(1, 3))])
+        for target in (op, op + extra):
+            assert (in_affine_span(target, particular, basis)
+                    is dense_in_affine_span(target, particular, basis))
+        assert in_affine_span(op, particular, basis)
 
 
 def _same_affine_set(a, b) -> bool:

@@ -3,8 +3,9 @@
 import pytest
 
 from weylpair.curve import ParamError
-from weylpair.poly import Poly, Rat
-from weylpair.qsolver import (QPolynomial, XDependenceError, assemble_q,
+from weylpair.poly import NotDivisibleError, Poly, Rat
+from weylpair.qsolver import (QPolynomial, RecursionDivisionError,
+                              XDependenceError, assemble_q,
                               build_deltas, build_q, curve_identity_residual,
                               curve_rhs, derived_ode_residual, extract_curve,
                               q_ode_residual, trace_identity_residual)
@@ -37,6 +38,24 @@ def test_deltas_genus2():
 def test_deltas_reject_bad_genus():
     with pytest.raises(ParamError):
         build_deltas(0)
+
+
+def test_deltas_report_only_a_failed_division(monkeypatch):
+    # a remainder in the division by a3 is the recursion's own defect;
+    # any other error inside exact_div propagates as itself
+    def raising(exc):
+        def exact_div(self, d):
+            raise exc
+        return exact_div
+
+    monkeypatch.setattr(Poly, "exact_div",
+                        raising(NotDivisibleError("remainder")))
+    with pytest.raises(RecursionDivisionError,
+                       match="delta_1 is not divisible by a3"):
+        build_deltas(2)
+    monkeypatch.setattr(Poly, "exact_div", raising(TypeError("defect")))
+    with pytest.raises(TypeError, match="defect"):
+        build_deltas(2)
 
 
 def test_assemble_genus1():

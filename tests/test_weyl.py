@@ -446,3 +446,32 @@ def test_term_loop_matches_schoolbook_random(monkeypatch):
         b = random_param_op(rng, nb, 64)
         assert op_mul(a, b) == schoolbook_op_mul(a, b)
         assert op_mul(a, -a) == -schoolbook_op_mul(a, a)
+
+
+def x0_parts(a: DiffOp, b: DiffOp) -> list[Poly]:
+    """The x^0 parts of the coefficients of the full product a∘b,
+    zero-padded to ord a + ord b + 1 entries."""
+    if a.is_zero() or b.is_zero():
+        return []
+    coeffs = [c.coeff_in("x", 0) for c in op_mul(a, b).coeffs]
+    return coeffs + [Poly.zero()] * (a.order() + b.order() + 1 - len(coeffs))
+
+
+def test_x0_of_product_matches_full_product():
+    # operands: an order-0 a, an x-free a with parameters and a zero
+    # middle coefficient, a b of x-degree below ord a, zero operands, and
+    # random numeric and parameter-bearing operators
+    rng = random.Random(17)
+    xfree = DiffOp([Poly.rat(3), a0, Poly.zero(), Poly.rat(Rat(-1, 2))])
+    low = DiffOp([x + a0, Poly.zero(), x**2])
+    cases = [(DiffOp([x**2 + 1]), random_x_op(rng, 3, 8)),
+             (xfree, random_param_op(rng, 3, 8)),
+             (random_x_op(rng, 5, 8), low), (xfree, low),
+             (DiffOp.zero(), low), (low, DiffOp.zero())]
+    for _ in range(6):
+        cases.append((random_x_op(rng, rng.randint(0, 6), 40, zero_frac=0.4),
+                      random_x_op(rng, rng.randint(0, 6), 40, zero_frac=0.4)))
+        cases.append((random_param_op(rng, rng.randint(0, 4), 16),
+                      random_param_op(rng, rng.randint(0, 4), 16)))
+    for a, b in cases:
+        assert weyl.x0_of_product(a, b) == x0_parts(a, b)
