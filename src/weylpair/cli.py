@@ -12,18 +12,22 @@ Three subcommands:
 
 Machine-readable JSON goes to stdout (or to the --out of construct and
 verify); a human summary, including timings, goes to stderr so the JSON
-output is byte-identical across runs.  Exit codes: 0 success, 1 failed
-check, 2 bad parameters or usage, 3 internal consistency error.
+output is byte-identical across runs.  The JSON is the bytes of
+json.dumps(doc, indent=1, sort_keys=True), written by _dumps.  Exit
+codes: 0 success, 1 failed check, 2 bad parameters or usage, 3 internal
+consistency error.
 """
 
 from __future__ import annotations
 
 import argparse
 import errno
-import json
 import os
 import sys
 import time
+# json.encoder's own quoting function; importing it from there would load
+# the json package, its decoder and scanner, about 3 ms per launch
+from _json import encode_basestring_ascii
 
 from .curve import PARAM_NAMES, ParamError, SpectralCurve, is_nonsingular
 from .curvefun import (expand_at_infinity, expansion_report,
@@ -34,7 +38,7 @@ from .pairs import (OperatorPair, build_pair, match_reference_examples,
                     verify_commutation, verify_square_identity)
 from .weyl import DiffOp, adjoint
 from .poly import NotDivisibleError, Poly, Rat
-from .qsolver import (DegreeError, NormalizationError, QPolynomial,
+from .qsolver import (DegreeError, NormalizationError,
                       RecursionDivisionError, XDependenceError,
                       curve_identity_residual, derived_ode_residual,
                       q_ode_residual, trace_identity_residual)
@@ -142,8 +146,32 @@ def _check_out(out_path: str | None) -> None:
     raise ParamError(f"cannot write --out {out_path}: {os.strerror(err)}")
 
 
+def _dumps(obj, ind: str = "") -> str:
+    """json.dumps(obj, indent=1, sort_keys=True), which with indent set
+    runs a pure-Python encoder, for dicts with str keys, lists, tuples,
+    str, int, bool and None; anything else raises TypeError."""
+    if isinstance(obj, int):
+        return ("true" if obj is True else "false" if obj is False
+                else int.__repr__(obj))
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    inner = ind + " "
+    sep = ",\n" + inner
+    if isinstance(obj, (list, tuple)):
+        body = sep.join([_dumps(v, inner) for v in obj])
+        return f"[\n{inner}{body}\n{ind}]" if obj else "[]"
+    if isinstance(obj, dict):
+        # encode_basestring_ascii raises TypeError on a non-str key
+        body = sep.join([encode_basestring_ascii(k) + ": "
+                         + _dumps(obj[k], inner) for k in sorted(obj)])
+        return f"{{\n{inner}{body}\n{ind}}}" if obj else "{}"
+    raise TypeError(f"{type(obj).__name__} is not emitted as JSON")
+
+
 def _emit(doc: dict, out_path: str | None) -> None:
-    text = json.dumps(doc, indent=1, sort_keys=True)
+    text = _dumps(doc)
     if out_path:
         try:
             with open(out_path, "w") as fh:
@@ -185,9 +213,7 @@ def _checks_for(args, params: dict) -> list[dict]:
     pair = build_pair(g, params)
     qp, curve = pair.q, pair.curve
     if args.inject_fault == "q":
-        qp = QPolynomial(g=qp.g, deltas=qp.deltas,
-                         q=qp.q + Poly.var("x"), v=qp.v, w=qp.w,
-                         alphas=qp.alphas)
+        qp = qp._replace(q=qp.q + Poly.var("x"))
     elif args.inject_fault == "curve":
         coeffs = list(curve.coeffs)
         coeffs[0] = coeffs[0] + Poly.one()

@@ -10,7 +10,7 @@ always smooth in the standard completion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .poly import Poly, discriminant
 
@@ -30,25 +30,27 @@ def require_bound(*polys: Poly) -> None:
             raise ParamError(f"parameter {name} left unbound")
 
 
-@dataclass(frozen=True)
-class SpectralCurve:
+class SpectralCurve(namedtuple("SpectralCurve", "g coeffs")):
     """Monic F(z) = z^(2g+1) + c_{2g} z^(2g) + ... + c_0.
 
     coeffs[i] = c_i as a polynomial in the parameters only.
     """
 
-    g: int
-    coeffs: tuple[Poly, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.coeffs) != 2 * self.g + 1:
+    def __new__(cls, g: int, coeffs: tuple[Poly, ...]):
+        if len(coeffs) != 2 * g + 1:
             raise ValueError(
-                f"genus {self.g} curve needs {2*self.g+1} coefficients, "
-                f"got {len(self.coeffs)}")
-        for c in self.coeffs:
+                f"genus {g} curve needs {2*g+1} coefficients, "
+                f"got {len(coeffs)}")
+        for c in coeffs:
             if c.degree("x") > 0 or c.degree("z") > 0:
                 raise ValueError(
                     "curve coefficients must depend on parameters only")
+        return super().__new__(cls, g, coeffs)
+
+    # _replace builds through _make; keep it behind the checks above
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def as_poly(self) -> Poly:
         """F as a polynomial in z (and any unbound parameters)."""

@@ -18,7 +18,7 @@ the point at infinity in the local parameter k = 1/sqrt(z).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .curve import SpectralCurve
 from .poly import Poly, Rat
@@ -31,14 +31,18 @@ class ContextMismatchError(ValueError):
     """Arithmetic between curve functions over different (Q, F) contexts."""
 
 
-@dataclass(frozen=True)
-class CurveContext:
-    q: QPolynomial
-    curve: SpectralCurve
+class CurveContext(namedtuple("CurveContext", "q curve")):
+    """The (QPolynomial, SpectralCurve) a curve function lives over."""
 
-    def __post_init__(self):
-        if self.q.g != self.curve.g:
+    __slots__ = ()
+
+    def __new__(cls, q: QPolynomial, curve: SpectralCurve):
+        if q.g != curve.g:
             raise ContextMismatchError("genus mismatch between Q and curve")
+        return super().__new__(cls, q, curve)
+
+    # _replace builds through _make; keep it behind the check above
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def matches(self, other: "CurveContext") -> bool:
         return (self.q.q == other.q.q

@@ -36,10 +36,10 @@ operator of a given order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
-from .curve import PARAM_NAMES, ParamError, SpectralCurve
+from .curve import PARAM_NAMES, ParamError
 from .poly import Poly, Rat
 from .qsolver import (QPolynomial, build_q, extract_curve, potentials,
                       resolve_alphas)
@@ -47,13 +47,10 @@ from .weyl import (DiffOp, anticommutator, commutator, op_mul, poly_of_op,
                    x0_of_product)
 
 
-@dataclass(frozen=True)
-class OperatorPair:
-    g: int
-    l4: DiffOp
-    m: DiffOp
-    curve: SpectralCurve
-    q: QPolynomial
+class OperatorPair(namedtuple("OperatorPair", "g l4 m curve q")):
+    """g: int, L = l4 and M = m: DiffOp, the SpectralCurve and the
+    QPolynomial they were built from.  No __slots__: the instance
+    __dict__ holds the cached bracket."""
 
     @cached_property
     def bracket(self) -> DiffOp:

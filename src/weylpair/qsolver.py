@@ -17,7 +17,7 @@ provides exact residual checks for every identity involved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .poly import NotDivisibleError, Poly, Rat
 from .curve import PARAM_NAMES, ParamError, SpectralCurve
@@ -71,8 +71,7 @@ def potentials(g: int, alphas) -> tuple[Poly, Poly]:
     return v, w
 
 
-@dataclass(frozen=True)
-class QPolynomial:
+class QPolynomial(namedtuple("QPolynomial", "g deltas q v w alphas")):
     """Q(x, z) together with its coefficient ladder and potentials.
 
     deltas[s] is the raw coefficient of x^s produced by the recursion
@@ -81,12 +80,7 @@ class QPolynomial:
     are the potentials, alphas the four parameter polynomials.
     """
 
-    g: int
-    deltas: tuple[Poly, ...]
-    q: Poly
-    v: Poly
-    w: Poly
-    alphas: tuple[Poly, Poly, Poly, Poly]
+    __slots__ = ()
 
     def q_z_coeffs(self) -> list[Poly]:
         """[z^j]Q for j = 0..g, as polynomials in x and parameters."""

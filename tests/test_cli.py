@@ -1,6 +1,5 @@
 """Command-line interface: exit codes, JSON contracts, determinism."""
 
-import dataclasses
 import hashlib
 import importlib
 import io
@@ -307,9 +306,9 @@ def test_double_root_fails_root_distinctness(monkeypatch):
     # at g = 2, Q = z^2 + 3xz + 9x^2 and Q - 27/16 = (z + 3/4)^2 at x = 1/2,
     # with simple roots at x = 3/2 and 5/2
     pair = pairs.build_pair(2, {"a0": 1, "a1": 0, "a2": 0, "a3": 1})
-    bad_q = dataclasses.replace(pair.q, q=pair.q.q - Rat(27, 16))
+    bad_q = pair.q._replace(q=pair.q.q - Rat(27, 16))
     monkeypatch.setattr(cli, "build_pair",
-                        lambda g, params: dataclasses.replace(pair, q=bad_q))
+                        lambda g, params: pair._replace(q=bad_q))
     args = cli.build_parser().parse_args(
         ["verify", "--genus", "2", "--alpha", "a0=1,a1=0,a2=0,a3=1"])
     checks = {c["name"]: c
@@ -324,9 +323,9 @@ def test_skipped_sample_points_fail_root_level_checks(monkeypatch):
     # root-level check runs anywhere; neither may read PASS
     pair = pairs.build_pair(2, {"a0": 1, "a1": 0, "a2": 0, "a3": 1})
     z, x = Poly.var("z"), Poly.var("x")
-    bad_q = dataclasses.replace(pair.q, q=(z + Rat(3, 2) * x) ** 2)
+    bad_q = pair.q._replace(q=(z + Rat(3, 2) * x) ** 2)
     monkeypatch.setattr(cli, "build_pair",
-                        lambda g, params: dataclasses.replace(pair, q=bad_q))
+                        lambda g, params: pair._replace(q=bad_q))
     args = cli.build_parser().parse_args(
         ["verify", "--genus", "2", "--alpha", "a0=1,a1=0,a2=0,a3=1"])
     checks = {c["name"]: c
@@ -444,3 +443,42 @@ def test_verify_stdout_matches_parent(capsys):
         code, out, _ = run_cli(["verify", *argv], capsys)
         assert code == expected_code, argv
         assert hashlib.sha256(out.encode()).hexdigest() == sha, argv
+
+
+EMIT_EDGE_CASES = [
+    {}, [], (), {"a": {}, "b": [], "c": [[], {}, ()]}, "", "plain",
+    'quote " backslash \\ slash / nul \x00 unit \x1f del \x7f',
+    "tab\t newline\n return\r é é snowman ☃ \U0001f600",
+    0, -1, 7, 2**2000, -(2**2000) + 1, True, False, None,
+    {"z": 1, "a": [True, False, None], "m": {"y": "", "b": -3}},
+    [(0, "-9"), (3, 'x"y')],
+]
+
+
+def test_emit_matches_json_dumps(monkeypatch, capsys):
+    # _dumps is the CLI's only writer; it must give json.dumps's bytes on
+    # every document the CLI emits, tuples among them, quoting strings
+    # with the function json.dumps uses
+    assert cli.encode_basestring_ascii is json.encoder.encode_basestring_ascii
+    docs = []
+    monkeypatch.setattr(cli, "_emit", lambda doc, out_path: docs.append(doc))
+    reference_companion = pairs.reference_companion
+    monkeypatch.setattr(pairs, "reference_companion",
+                        lambda g: reference_companion(g) + DiffOp.d(2))
+    runs = [["construct", "--genus", "1", "--alpha", "a0=sym,a1=sym"],
+            ["construct", "--genus", "6", "--alpha", "a0=2,a1=3/4,a2=3,a3=1"],
+            ["verify", *T3],
+            *(["verify", *T3, "--inject-fault", fault]
+              for fault in ("q", "curve", "companion")),
+            ["examples"]]
+    for argv in runs:
+        main(argv)
+    capsys.readouterr()
+    assert len(docs) == len(runs)
+    assert [doc["pass"] for doc in docs[2:6]] == [True, False, False, False]
+    assert docs[-1]["2"]["companion_diff"] == [(2, "-1")]
+    for doc in docs + EMIT_EDGE_CASES:
+        assert cli._dumps(doc) == json.dumps(doc, indent=1, sort_keys=True)
+    for bad in (1.5, [0.0], {"a": 2.5}, {1: "a"}, {"a": {2: "b"}}):
+        with pytest.raises(TypeError):
+            cli._dumps(bad)

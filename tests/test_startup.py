@@ -1,0 +1,33 @@
+"""What a fresh `weylpair` process pays before any math: importing the
+CLI loads neither dataclasses and inspect nor the json package, and
+--help works, which the benchmark's launch check relies on."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def python(*args):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_cli_import_skips_dataclasses_inspect_and_json():
+    proc = python("-c", "import sys, weylpair.cli; "
+                        "print(sorted({'dataclasses', 'inspect', 'json'} "
+                        "& set(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["construct", "--help"]])
+def test_help_exits_zero(argv):
+    proc = python("-m", "weylpair.cli", *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage")
