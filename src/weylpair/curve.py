@@ -11,6 +11,7 @@ always smooth in the standard completion.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import cached_property
 
 from .poly import Poly, discriminant
 
@@ -33,10 +34,9 @@ def require_bound(*polys: Poly) -> None:
 class SpectralCurve(namedtuple("SpectralCurve", "g coeffs")):
     """Monic F(z) = z^(2g+1) + c_{2g} z^(2g) + ... + c_0.
 
-    coeffs[i] = c_i as a polynomial in the parameters only.
+    coeffs[i] = c_i as a polynomial in the parameters only.  No
+    __slots__: the instance __dict__ holds F, built once.
     """
-
-    __slots__ = ()
 
     def __new__(cls, g: int, coeffs: tuple[Poly, ...]):
         if len(coeffs) != 2 * g + 1:
@@ -52,13 +52,17 @@ class SpectralCurve(namedtuple("SpectralCurve", "g coeffs")):
     # _replace builds through _make; keep it behind the checks above
     _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def as_poly(self) -> Poly:
-        """F as a polynomial in z (and any unbound parameters)."""
+    @cached_property
+    def _f(self) -> Poly:
         z = Poly.var("z")
         f = z ** (2 * self.g + 1)
         for i, c in enumerate(self.coeffs):
             f = f + c * z**i
         return f
+
+    def as_poly(self) -> Poly:
+        """F as a polynomial in z (and any unbound parameters)."""
+        return self._f
 
     def eval_params(self, params: dict) -> "SpectralCurve":
         return SpectralCurve(

@@ -22,7 +22,7 @@ from collections import namedtuple
 
 from .curve import SpectralCurve
 from .poly import Poly, Rat
-from .qsolver import QPolynomial
+from .qsolver import QPolynomial, trace_identity_residual
 from .series import LaurentSeries, TruncationError, series_from_poly
 from .weyl import DiffOp
 
@@ -262,7 +262,6 @@ def expansion_report(s0: LaurentSeries, s1: LaurentSeries,
             odd_ok = False
             break
     checks["odd_coeffs_vanish"] = odd_ok
-    sub = qp.q.coeff_in("z", qp.g - 1)
-    checks["trace_identity"] = qp.w == 2 * sub - curve.coeffs[2 * qp.g]
+    checks["trace_identity"] = trace_identity_residual(qp, curve).is_zero()
     checks["all"] = all(checks.values())
     return checks

@@ -21,11 +21,14 @@ certified without forming M^2 or F(L), in two lines:
   (=>) if M^2 = F(L), then L and M lie in the centralizer of M^2, which
        is commutative (Amitsur, Pacific J. Math. 1958): [L, M] = 0.
 
-The x^0 parts X(F(L)) come from Horner's rule over x^0 parts, R <- X(R∘L)
-+ c_j from R = 1, so every R is x-free.  That is sound because X(a∘b)
-needs only X(a) and b: a enters the exchange rule (a∘b)_o = sum C(i,k)
-a_i b_j^(k) only through the factors a_i, and evaluation at x = 0 is a
-ring map, so X(a∘b) = X(X(a)∘b).
+The x^0 lemma.  Write X(p) for the x^0 part of p, its value at x = 0,
+which may still hold parameters.  X is a ring map, so the exchange rule
+(a∘b)_o = sum C(i,k) a_i b_j^(k) gives X(a∘b)_o = sum C(i,k) X(a_i)
+X(b_j^(k)), with X(b_j^(k)) = k! [x^k]b_j.  So X(a∘b) reads only X(a)
+and the x^k coefficients of b for k <= ord(a), which is how
+weyl.x0_of_product computes it, and X(a∘b) = X(X(a)∘b).  Hence X(M^2)
+is x0_of_product(M, M), and X(F(L)) comes from Horner's rule over x^0
+parts, R <- X(R∘L) + c_j from R = 1, with every R x-free.
 
 A commutant solver provides a second, independent route to M: it solves
 [L, M] = 0 from L alone, one coefficient of M at a time from the top order
@@ -97,7 +100,7 @@ def build_companion(qp: QPolynomial, l4: DiffOp) -> DiffOp:
 def build_pair(g: int, params: dict | None = None) -> OperatorPair:
     qp = build_q(g, params)
     curve = extract_curve(qp)
-    l4 = build_quartic(g, params)
+    l4 = quartic_from_potentials(qp.v, qp.w)
     m = build_companion(qp, l4)
     return OperatorPair(g=g, l4=l4, m=m, curve=curve, q=qp)
 
@@ -115,9 +118,8 @@ def verify_square_identity(pair: OperatorPair) -> DiffOp:
     coefficients of R = M^2 - F(L); the module docstring has the proof.
     For L of order n the top coefficient of [L, R] is n*r_d' only when
     the leading coefficient of L is x-free, so L must be monic of order
-    n >= 1.  Neither M^2, F(L) nor any power of L is formed:
-    x0_of_product reads X(M∘M), the x^0 parts of M∘M, and Horner's rule
-    over x^0 parts gives X(F(L)), as the module docstring shows.
+    n >= 1.  Neither M^2, F(L) nor any power of L is formed: the x^0
+    lemma of the module docstring gives both x^0 parts.
     """
     l4 = pair.l4
     if l4.order() < 1 or l4.coeffs[-1] != Poly.one():

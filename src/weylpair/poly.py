@@ -202,15 +202,19 @@ class Poly:
 
     def coeffs_in(self, var: str) -> list["Poly"]:
         """Dense coefficient list [c_0, ..., c_deg] with respect to var."""
-        d = self.degree(var)
-        if d < 0:
-            return []
+        return [_make(t, self.den)
+                for t in self.nums_in(var, self.degree(var) + 1)]
+
+    def nums_in(self, var: str, n: int) -> list[dict]:
+        """The numerators over self.den of the coefficients of var^e,
+        e < n, as {key of the other variables: numerator} dicts."""
         s = _SHIFT[var]
-        buckets: list[dict] = [{} for _ in range(d + 1)]
+        out: list[dict] = [{} for _ in range(n)]
         for k, c in self.terms.items():
             e = (k >> s) & _FIELD
-            buckets[e][k - (e << s)] = c
-        return [_make(b, self.den) for b in buckets]
+            if e < n:
+                out[e][k - (e << s)] = c
+        return out
 
     def term_count(self) -> int:
         return len(self.terms)
@@ -458,12 +462,15 @@ class Poly:
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
-        return {
-            "terms": [
-                {"c": f"{c.numerator}/{c.denominator}", "e": list(exps)}
-                for exps, c in self.sorted_terms()
-            ]
-        }
+        """Terms in the order of sorted_terms, each coefficient written as
+        "num/den" in lowest terms straight from its int numerator."""
+        terms, den = self.terms, self.den
+        out = []
+        for k in sorted(terms, key=_glex, reverse=True):
+            d = math.gcd(terms[k], den)
+            out.append({"c": f"{terms[k] // d}/{den // d}",
+                        "e": list(_unpack(k))})
+        return {"terms": out}
 
     @staticmethod
     def from_json(obj: dict) -> "Poly":

@@ -176,27 +176,6 @@ def _x_derivs(q: Poly, n: int) -> list[Poly]:
     return out
 
 
-def q_ode_residual(qp: QPolynomial) -> Poly:
-    """Residual of the fifth-order linear ODE that Q must satisfy:
-
-        Q^(5) + 4V Q^(3) + 4(a2 - (g^2+g-3) a3 x + z) Q'
-        + 6V' Q'' - 2g(g+1) a3 Q.
-
-    Zero exactly when Q solves the equation; any scalar multiple of a
-    solution also gives zero.
-    """
-    g = qp.g
-    _, _, a2, a3 = qp.alphas
-    x = Poly.var("x")
-    z = Poly.var("z")
-    d = _x_derivs(qp.q, 5)
-    res = d[5] + 4 * qp.v * d[3]
-    res = res + 4 * (a2 - Rat(g * g + g - 3) * a3 * x + z) * d[1]
-    res = res + 6 * qp.v.diff("x") * d[2]
-    res = res - Rat(2 * g * (g + 1)) * a3 * d[0]
-    return res
-
-
 def curve_rhs(q: Poly, v: Poly, w: Poly) -> Poly:
     """Right-hand side of (*): the expression that must equal 4*F(z)."""
     z = Poly.var("z")
@@ -239,14 +218,18 @@ def curve_identity_residual(qp: QPolynomial, curve: SpectralCurve) -> Poly:
 
 
 def derived_ode_residual(qp: QPolynomial) -> Poly:
-    """Residual of the companion identity d/dx(*) / (2Q):
+    """Residual of the fifth-order linear ODE of Q, d/dx(*) / (2Q):
 
         Q^(5) + 4V Q^(3) + 2Q'(2z - 2W + V'') + 6V' Q'' - 2Q W'.
 
     Only qp.q, qp.v and qp.w are read.  With the potentials of
-    potentials(), V'' = 6 a3 x + 2 a2 and W = g(g+1) a3 x, this is the
-    same linear operator on Q as q_ode_residual, term by term, so on any
-    Q it returns the same residual: the check repeats q_ode.
+    potentials(), V'' = 6 a3 x + 2 a2 and W = g(g+1) a3 x, it reads
+
+        Q^(5) + 4V Q^(3) + 4(a2 - (g^2+g-3) a3 x + z) Q'
+        + 6V' Q'' - 2g(g+1) a3 Q.
+
+    Zero exactly when Q solves the equation; any scalar multiple of a
+    solution also gives zero.
     """
     z = Poly.var("z")
     q, v, w = qp.q, qp.v, qp.w
@@ -255,6 +238,10 @@ def derived_ode_residual(qp: QPolynomial) -> Poly:
             + 2 * d[1] * (2 * z - 2 * w + v.diff("x").diff("x"))
             + 6 * v.diff("x") * d[2]
             - 2 * q * w.diff("x"))
+
+
+# the q_ode check and the derived_ode check are the same residual
+q_ode_residual = derived_ode_residual
 
 
 def trace_identity_residual(qp: QPolynomial, curve: SpectralCurve) -> Poly:

@@ -10,6 +10,7 @@ coefficient lists.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 
 from .poly import Poly
 
@@ -152,8 +153,8 @@ def op_mul(a: DiffOp, b: DiffOp) -> DiffOp:
     with b^(k) != 0.  Both factors of each such term are at least 1 (the
     first holds C(na,k) |a_na|_1), so S also bounds every packed entry.
     w is the least multiple of 8 with 2^(w-1) > S, so every digit is read
-    back exactly.  Operands with symbolic parameters take the
-    term-by-term loop instead.
+    back exactly.  Operands with symbolic parameters take _exchange, the
+    term loop that x0_of_product shares.
     """
     if a.is_zero() or b.is_zero():
         return DiffOp.zero()
@@ -176,52 +177,80 @@ def _x_nums(op: DiffOp) -> list[tuple[dict, int]] | None:
     return out
 
 
-def _over(nums: dict, d: int, den: int) -> dict:
-    """Numerators over d, rescaled to den, a multiple of d."""
-    return nums if d == den else {k: c * (den // d) for k, c in nums.items()}
+def _scaled(nums: dict, f: int) -> dict:
+    """Every numerator times f."""
+    return nums if f == 1 else {k: c * f for k, c in nums.items()}
 
 
-def _op_mul_terms(a: DiffOp, b: DiffOp) -> list[Poly]:
-    """The exchange rule term by term, over any coefficient ring.  Both
-    operands are read as int numerators over one denominator each (every
-    x-derivative of b_j has a denominator dividing b_j's), and each output
-    order is one int dict over Da*Db, normalized once."""
-    na, nb = a.order(), b.order()
-    da = math.lcm(*(c.den for c in a.coeffs))
-    db = math.lcm(*(c.den for c in b.coeffs))
-    # derivs[j][k] = numerators of the k-th x-derivative of b.coeffs[j]
-    derivs: list[list[dict]] = []
-    for bj in b.coeffs:
-        chain = [bj]
-        for _ in range(na):
-            chain.append(chain[-1].diff("x"))
-        derivs.append([_over(c.terms, c.den, db) for c in chain])
-    out: list[dict] = [{} for _ in range(na + nb + 1)]
-    for i, ai in enumerate(a.coeffs):
-        if ai.is_zero():
+def _exchange(a: list[dict], rows: list[list[dict]], den: int) -> list[Poly]:
+    """The term loop of the exchange rule, shared by op_mul and
+    x0_of_product: entry o of the result is the sum of
+    C(i,k) * a[i] * rows[k][j] over i + j - k = o, over den.
+
+    a[i] and rows[k][j] are {monomial key: int numerator} dicts, rows[k]
+    holds one dict per order j of the right operand, and den is the
+    product of the denominators of the two sides.  The factor list of
+    a[i] is built once per (i, k) and is the inner loop; each output
+    order is normalized once.
+    """
+    nk = len(rows)
+    while nk > 1 and not any(rows[nk - 1]):
+        nk -= 1
+    out = [defaultdict(int) for _ in range(len(a) + len(rows[0]) - 1)]
+    for i, ai in enumerate(a):
+        if not ai:
             continue
-        an = _over(ai.terms, ai.den, da)
-        for k in range(i + 1):
-            cik = math.comb(i, k)
-            ank = an if cik == 1 else {k1: c1 * cik for k1, c1 in an.items()}
-            for j in range(nb + 1):
-                bjk = derivs[j][k]
+        for k in range(min(i + 1, nk)):
+            f = math.comb(i, k)
+            fa = [(k1, f * c1) for k1, c1 in ai.items()]
+            for j, bjk in enumerate(rows[k]):
                 if not bjk:
                     continue
                 acc = out[i + j - k]
-                get = acc.get
-                for k1, c1 in ank.items():
-                    for k2, c2 in bjk.items():
-                        kk = k1 + k2
-                        acc[kk] = get(kk, 0) + c1 * c2
-    den = da * db
-    return [Poly.from_nums(t, den) for t in out]
+                for k2, c2 in bjk.items():
+                    for k1, c1 in fa:
+                        acc[k1 + k2] += c1 * c2
+    return [Poly.from_nums(dict(t), den) for t in out]
+
+
+def _op_mul_terms(a: DiffOp, b: DiffOp) -> list[Poly]:
+    """a∘b over any coefficient ring: _exchange on the numerators of a_i
+    and of b_j^(k), k <= ord(a).  Every x-derivative of b_j has a
+    denominator dividing b_j's."""
+    da = math.lcm(*(c.den for c in a.coeffs))
+    db = math.lcm(*(c.den for c in b.coeffs))
+    rows = []
+    bk = b.coeffs
+    for k in range(len(a.coeffs)):
+        if k:
+            bk = [c.diff("x") for c in bk]
+        rows.append([_scaled(c.terms, db // c.den) for c in bk])
+    return _exchange([_scaled(c.terms, da // c.den) for c in a.coeffs],
+                     rows, da * db)
+
+
+def x0_of_product(a: DiffOp, b: DiffOp) -> list[Poly]:
+    """The x^0 parts of the coefficients of a∘b, without forming a∘b:
+    _exchange on a_i(0) and b_j^(k)(0) = k! * [x^k]b_j, k <= ord(a), which
+    by the x^0 lemma of weylpair.pairs is all that a∘b's x^0 parts read.
+    Entry o belongs to D^o; the list has ord(a) + ord(b) + 1 entries.
+    """
+    if a.is_zero() or b.is_zero():
+        return []
+    n = len(a.coeffs)
+    da = math.lcm(*(c.den for c in a.coeffs))
+    db = math.lcm(*(c.den for c in b.coeffs))
+    low = [c.nums_in("x", n) for c in b.coeffs]
+    rows = [[_scaled(t[k], math.factorial(k) * (db // c.den))
+             for t, c in zip(low, b.coeffs)] for k in range(n)]
+    return _exchange([_scaled(c.nums_in("x", 1)[0], da // c.den)
+                      for c in a.coeffs], rows, da * db)
 
 
 def _clear_denominators(
         cols: list[tuple[dict, int]]) -> tuple[int, list[dict]]:
     den = math.lcm(*(d for _, d in cols))
-    return den, [_over(t, d, den) for t, d in cols]
+    return den, [_scaled(t, den // d) for t, d in cols]
 
 
 def _offsets(n: int, wb: int) -> bytes:
@@ -293,47 +322,6 @@ def _op_mul_kronecker(ax: list[tuple[dict, int]],
                 terms[d] = int.from_bytes(chunk, "little") - half
         out.append(Poly.from_x_nums(terms, den))
     return out
-
-
-def x0_of_product(a: DiffOp, b: DiffOp) -> list[Poly]:
-    """The x^0 parts of the coefficients of a∘b, without forming a∘b.
-
-    The x^0 part of a coefficient is its value at x = 0, which may still
-    hold parameters.  By the exchange rule (a∘b)_o is the sum of
-    C(i,k) * a_i * b_j^(k) over i + j - k = o, and the x^0 part of
-    a_i * b_j^(k) is a_i(0) * k! * [x^k]b_j, so only the x^0 parts of a
-    and the coefficients of x^k, k <= ord(a), of b are read.  Entry o of
-    the list belongs to D^o; the list has ord(a) + ord(b) + 1 entries.
-    """
-    if a.is_zero() or b.is_zero():
-        return []
-    na = a.order()
-    # x-free parts of a, and [x^k] of b for k <= na, as int numerators
-    # over one denominator per operand
-    a0 = [c.coeff_in("x", 0) for c in a.coeffs]
-    bx = [c.coeffs_in("x")[:na + 1] for c in b.coeffs]
-    da = math.lcm(*(c.den for c in a0))
-    db = math.lcm(*(c.den for row in bx for c in row))
-    a0 = [_over(c.terms, c.den, da) for c in a0]
-    bx = [[_over(c.terms, c.den, db) for c in row] for row in bx]
-    out: list[dict] = [{} for _ in range(na + b.order() + 1)]
-    for i, ai in enumerate(a0):
-        if not ai:
-            continue
-        for k in range(i + 1):
-            f = math.perm(i, k)  # C(i,k) * k!
-            fa = [(k1, f * c1) for k1, c1 in ai.items()]
-            for j, row in enumerate(bx):
-                if k >= len(row) or not row[k]:
-                    continue
-                acc = out[i + j - k]
-                get = acc.get
-                for k2, c2 in row[k].items():
-                    for k1, c1 in fa:
-                        kk = k1 + k2
-                        acc[kk] = get(kk, 0) + c1 * c2
-    den = da * db
-    return [Poly.from_nums(t, den) for t in out]
 
 
 def commutator(a: DiffOp, b: DiffOp) -> DiffOp:

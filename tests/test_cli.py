@@ -445,6 +445,20 @@ def test_verify_stdout_matches_parent(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == sha, argv
 
 
+# fully symbolic verify at genus 3, recorded before _op_mul_terms and
+# x0_of_product shared one term loop: the heaviest CLI run of that loop
+SYMBOLIC_G3_REF = (
+    ["--genus", "3", "--alpha", "a0=sym,a1=sym,a2=sym,a3=sym"], 0,
+    "4a9a30f3719a955defb1bd06911e80269aa4c8ea160c295d17af833c3182d4b6")
+
+
+def test_verify_fully_symbolic_genus3_stdout(capsys):
+    argv, expected_code, sha = SYMBOLIC_G3_REF
+    code, out, _ = run_cli(["verify", *argv], capsys)
+    assert code == expected_code
+    assert hashlib.sha256(out.encode()).hexdigest() == sha
+
+
 EMIT_EDGE_CASES = [
     {}, [], (), {"a": {}, "b": [], "c": [[], {}, ()]}, "", "plain",
     'quote " backslash \\ slash / nul \x00 unit \x1f del \x7f',

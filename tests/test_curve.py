@@ -90,3 +90,16 @@ def test_involution_is_structural():
 def test_json_roundtrip():
     c = extract_curve(build_q(2))
     assert SpectralCurve.from_json(c.to_json()).coeffs == c.coeffs
+
+
+def test_as_poly_is_built_once_per_curve():
+    c = extract_curve(build_q(3))
+    f = c.as_poly()
+    assert c.as_poly() is f
+    z = Poly.var("z")
+    assert f == z**7 + sum((ci * z**i for i, ci in enumerate(c.coeffs)),
+                           Poly.zero())
+    # a replaced curve builds its own F
+    bumped = c._replace(coeffs=(c.coeffs[0] + Poly.one(),) + c.coeffs[1:])
+    assert bumped.as_poly() == f + Poly.one()
+    assert c.as_poly() is f

@@ -154,6 +154,27 @@ def test_serialization_roundtrip_and_canonical_order(rng):
         assert json.dumps(Poly.from_json(json.loads(text)).to_json()) == text
 
 
+def fraction_json(p: Poly) -> dict:
+    """to_json written through one Fraction per term."""
+    return {"terms": [{"c": f"{c.numerator}/{c.denominator}", "e": list(e)}
+                      for e, c in p.sorted_terms()]}
+
+
+def test_to_json_reduces_each_term_like_fraction(rng):
+    # per-term numerators that share a factor with den, and negative ones,
+    # must print in lowest terms with the sign on the numerator
+    keys = [next(iter(m.terms)) for m in (x**2, x * z, a3, Poly.one())]
+    cases = [Poly(dict(zip(keys, nums)), den)
+             for nums, den in (((2, 3, -4), 6), ((-2, -3, 4, 5), 6),
+                               ((-9, 12, 15, -7), 30), ((-5,), 1),
+                               ((2**70, -(3**40), 7), 6**30))]
+    assert cases[0].to_json()["terms"][0]["c"] == "1/3"
+    cases += [random_poly(rng, vars=("x", "z", "a0", "a3")) for _ in range(30)]
+    cases.append(Poly.zero())
+    for p in cases:
+        assert p.to_json() == fraction_json(p), p
+
+
 def test_coeff_extraction():
     p = (z + a3 * x) ** 2
     assert p.coeff_in("z", 2) == Poly.one()

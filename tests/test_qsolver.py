@@ -168,6 +168,32 @@ def test_derived_ode_is_q_ode_operator(g):
         assert res.is_zero() == bump.is_zero()
 
 
+def ode_in_parameters(qp: QPolynomial) -> Poly:
+    """The fifth-order ODE of Q written with a2, a3 and g in place of V''
+    and W:  Q^(5) + 4V Q^(3) + 4(a2 - (g^2+g-3) a3 x + z) Q'
+    + 6V' Q'' - 2g(g+1) a3 Q."""
+    g = qp.g
+    _, _, b2, b3 = qp.alphas
+    d = [qp.q]
+    for _ in range(5):
+        d.append(d[-1].diff("x"))
+    return (d[5] + 4 * qp.v * d[3]
+            + 4 * (b2 - Rat(g * g + g - 3) * b3 * x + z) * d[1]
+            + 6 * qp.v.diff("x") * d[2]
+            - Rat(2 * g * (g + 1)) * b3 * d[0])
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_ode_residual_matches_parameter_form(g, rng):
+    # q_ode_residual is written with V'' and W; on the potentials of the
+    # construction it is the same operator as the form in a2, a3 and g,
+    # on the constructed Q and on perturbed ones, symbolic and numeric
+    for qp in (build_q(g), build_q(g, random_param_tuple(rng))):
+        for bump in (Poly.zero(), x, x**3 * z, a1 * x**2):
+            moved = qp._replace(q=qp.q + bump)
+            assert q_ode_residual(moved) == ode_in_parameters(moved)
+
+
 def test_derived_ode_cube_reading_fails():
     # disambiguation: the product with Q^3 instead of the third derivative
     # is dimensionally inconsistent and does not vanish

@@ -1,6 +1,7 @@
 """What a fresh `weylpair` process pays before any math: importing the
-CLI loads neither dataclasses and inspect nor the json package, and
---help works, which the benchmark's launch check relies on."""
+package loads none of its modules, importing the CLI loads neither
+dataclasses and inspect nor the json package, and --help works, which
+the benchmark's launch check relies on."""
 
 import os
 import subprocess
@@ -22,6 +23,15 @@ def test_cli_import_skips_dataclasses_inspect_and_json():
     proc = python("-c", "import sys, weylpair.cli; "
                         "print(sorted({'dataclasses', 'inspect', 'json'} "
                         "& set(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_package_import_loads_no_submodule():
+    # weylpair/__init__.py is no facade: each module is imported by name
+    proc = python("-c", "import sys, weylpair; "
+                        "print(sorted(m for m in sys.modules "
+                        "if m.startswith('weylpair.')))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
 
