@@ -36,7 +36,7 @@ from .numeric import (DegenerateDerivativeError, MultipleRootError, roots_z,
 from .pairs import (OperatorPair, build_pair, match_reference_examples,
                     verify_commutation, verify_square_identity)
 from .weyl import DiffOp, is_self_adjoint
-from .poly import NotDivisibleError, Poly, Rat
+from .poly import NVARS, NotDivisibleError, Poly, Rat
 from .qsolver import (DegreeError, NormalizationError,
                       RecursionDivisionError, XDependenceError,
                       curve_identity_residual, q_ode_residual,
@@ -152,7 +152,15 @@ def _check_out(out_path: str | None) -> None:
 def _dumps(obj, ind: str = "") -> str:
     """json.dumps(obj, indent=1, sort_keys=True), which with indent set
     runs a pure-Python encoder, for dicts with str keys, lists, tuples,
-    str, int, bool and None; anything else raises TypeError."""
+    str, int, bool, None and Polys (as to_json()); else a TypeError."""
+    if isinstance(obj, Poly):
+        # the bytes of _dumps(obj.to_json(), ind), with no dict per term
+        i2, i3, i4 = ind + "  ", ind + "   ", ind + "    "
+        term = (f'{{\n{i3}"c": "%s",\n{i3}"e": [\n{i4}'
+                + f",\n{i4}".join(["%d"] * NVARS) + f"\n{i3}]\n{i2}}}")
+        body = f",\n{i2}".join([term % (c, *e) for c, e in obj.json_terms()])
+        return (f'{{\n{ind} "terms": '
+                + (f"[\n{i2}{body}\n{ind} ]" if body else "[]") + f"\n{ind}}}")
     if isinstance(obj, int):
         return ("true" if obj is True else "false" if obj is False
                 else int.__repr__(obj))
@@ -190,13 +198,14 @@ def cmd_construct(args) -> int:
     t0 = time.monotonic()
     params = _parse_alpha(args.alpha)
     pair = build_pair(args.genus, params)
+    # the to_json() form of each field, with its Polys left for _dumps
     doc = {
         "genus": args.genus,
-        "Q": pair.q.q.to_json(),
-        "deltas": [d.to_json() for d in pair.q.deltas],
-        "F": pair.curve.to_json(),
-        "L4": pair.l4.to_json(),
-        "M": pair.m.to_json(),
+        "Q": pair.q.q,
+        "deltas": pair.q.deltas,
+        "F": {"g": pair.curve.g, "c": pair.curve.coeffs},
+        "L4": {"coeffs": pair.l4.coeffs},
+        "M": {"coeffs": pair.m.coeffs},
     }
     _emit(doc, args.out)
     print(f"constructed genus {args.genus} pair "

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import operator
+import struct
 from fractions import Fraction as Rat
 
 VARS = ("x", "z", "a0", "a1", "a2", "a3")
@@ -61,20 +62,15 @@ def _pack(exps) -> int:
     return key
 
 
+_FIELDS = struct.Struct(f">{NVARS}H")  # a key's fields, in VARS order
+
+
 def _unpack(key: int) -> tuple[int, ...]:
-    return tuple((key >> _SHIFT[v]) & _FIELD for v in VARS)
-
-
-def _tdeg(key: int) -> int:
-    t = 0
-    while key:
-        t += key & _FIELD
-        key >>= 16
-    return t
+    return _FIELDS.unpack(key.to_bytes(2 * NVARS, "big"))
 
 
 def _glex(key: int) -> tuple[int, int]:
-    return _tdeg(key), key
+    return sum(_unpack(key)), key
 
 
 def _divides(dkey: int, rkey: int) -> bool:
@@ -187,7 +183,7 @@ class Poly:
         if not self.terms:
             return -1
         if var is None:
-            return max(_tdeg(k) for k in self.terms)
+            return max(sum(_unpack(k)) for k in self.terms)
         s = _SHIFT[var]
         return max((k >> s) & _FIELD for k in self.terms)
 
@@ -461,16 +457,22 @@ class Poly:
 
     # -- serialization -----------------------------------------------------
 
-    def to_json(self) -> dict:
-        """Terms in the order of sorted_terms, each coefficient written as
-        "num/den" in lowest terms straight from its int numerator."""
+    def json_terms(self) -> list[tuple[str, tuple[int, ...]]]:
+        """(coefficient, exponents) of each term in the order of
+        sorted_terms, the coefficient written as "num/den" in lowest terms
+        straight from its int numerator."""
         terms, den = self.terms, self.den
         out = []
-        for k in sorted(terms, key=_glex, reverse=True):
+        for _, k, e in sorted([(sum(e), k, e) for k, e
+                               in zip(terms, map(_unpack, terms))],
+                              reverse=True):
             d = math.gcd(terms[k], den)
-            out.append({"c": f"{terms[k] // d}/{den // d}",
-                        "e": list(_unpack(k))})
-        return {"terms": out}
+            out.append((f"{terms[k] // d}/{den // d}", e))
+        return out
+
+    def to_json(self) -> dict:
+        return {"terms": [{"c": c, "e": list(e)}
+                          for c, e in self.json_terms()]}
 
     @staticmethod
     def from_json(obj: dict) -> "Poly":

@@ -177,15 +177,16 @@ def _x_derivs(q: Poly, n: int) -> list[Poly]:
 
 
 def curve_rhs(q: Poly, v: Poly, w: Poly) -> Poly:
-    """Right-hand side of (*): the expression that must equal 4*F(z)."""
+    """Right-hand side of (*): the expression that must equal 4*F(z),
+    regrouped as three products of Q-sized factors,
+
+        Q*(4(z - W)Q + 4V'Q' + 8VQ'' + 2Q'''') - Q'*(4VQ' + 2Q''') + Q''^2.
+    """
     z = Poly.var("z")
     d = _x_derivs(q, 4)
-    rhs = 4 * (z - w) * d[0] ** 2
-    rhs = rhs - 4 * v * d[1] ** 2
-    rhs = rhs + d[2] ** 2
-    rhs = rhs - 2 * d[1] * d[3]
-    rhs = rhs + 2 * d[0] * (2 * v.diff("x") * d[1] + 4 * v * d[2] + d[4])
-    return rhs
+    return (d[0] * (4 * (z - w) * d[0] + 4 * v.diff("x") * d[1]
+                    + 8 * v * d[2] + 2 * d[4])
+            - d[1] * (4 * v * d[1] + 2 * d[3]) + d[2] ** 2)
 
 
 def extract_curve(qp: QPolynomial) -> SpectralCurve:

@@ -140,19 +140,13 @@ def op_mul(a: DiffOp, b: DiffOp) -> DiffOp:
     after numeric parameters are bound), the product is computed exactly
     in integers by Kronecker substitution, one coefficient at a time: the
     numerators of each operand are brought over its one lcm denominator,
-    and each a_i and each b_j^(k) is packed into one big int whose slot d
-    holds its coefficient of x^d, in deg_x(a) + 1 or deg_x(b) + 1 slots of
-    w bits (balanced signed digits, w a multiple of 8).  The rule
-    (a∘b)_o = sum C(i,k) a_i b_j^(k) over i + j - k = o then costs one int
-    multiply per nonzero (i, j, k), summed into one int per order o, and
-    each order is unpacked once, over Da*Db.  Slot d of a_i * b_j^(k) is a
-    sum of products of one entry of each, so its magnitude is at most
-    |a_i|_1 * |b_j^(k)|_inf.  For fixed o and k, j is fixed by i, so each
-    i adds at most one such term; every slot of order o is therefore at
-    most S = sum_k (sum_i C(i,k) |a_i|_1) * max_j |b_j^(k)|_inf over the k
-    with b^(k) != 0.  Both factors of each such term are at least 1 (the
-    first holds C(na,k) |a_na|_1), so S also bounds every packed entry.
-    w is the least multiple of 8 with 2^(w-1) > S, so every digit is read
+    and each a_i and each b_j^(k) is packed into one big int, its value at
+    x = 2^w.  Packing is a ring map, so (a∘b)_o = sum C(i,k) a_i b_j^(k)
+    over i + j - k = o costs one int multiply per nonzero (i, j, k), and
+    each order is unpacked once, over Da*Db, into signed w-bit digits.
+    Slot d of a_i * b_j^(k) is at most |a_i|_1 * |b_j^(k)|_inf, so each
+    slot of order o is at most S_o, that sum over the norms; w is the
+    least multiple of 8 with 2^(w-1) > max_o S_o, so every digit is read
     back exactly.  Operands with symbolic parameters take _exchange, the
     term loop that x0_of_product shares.
     """
@@ -162,7 +156,7 @@ def op_mul(a: DiffOp, b: DiffOp) -> DiffOp:
     bx = _x_nums(b) if ax is not None else None
     if bx is None:
         return DiffOp(_op_mul_terms(a, b))
-    return DiffOp(_op_mul_kronecker(ax, bx))
+    return DiffOp(_op_mul_kronecker([[], ax], bx, len(ax)))
 
 
 def _x_nums(op: DiffOp) -> list[tuple[dict, int]] | None:
@@ -247,80 +241,69 @@ def x0_of_product(a: DiffOp, b: DiffOp) -> list[Poly]:
                       for c in a.coeffs], rows, da * db)
 
 
-def _clear_denominators(
-        cols: list[tuple[dict, int]]) -> tuple[int, list[dict]]:
-    den = math.lcm(*(d for _, d in cols))
-    return den, [_scaled(t, den // d) for t, d in cols]
+def _pack(slots: dict, w: int) -> int:
+    """sum_s slots[s] * 2^(w*s): the polynomial's value at x = 2^w."""
+    return sum(v << (w * s) for s, v in slots.items())
 
 
-def _offsets(n: int, wb: int) -> bytes:
-    """n little-endian slots of wb bytes, each holding 2^(8*wb - 1): adding
-    it makes every balanced digit non-negative."""
-    return (b"\0" * (wb - 1) + b"\x80") * n
+def _rows(cols: list[dict], kn, val) -> list[list[tuple[int, int]]]:
+    """rows[k] = [(j, val(b_j^(k))) for nonzero b_j^(k)], k < kn."""
+    rows = []
+    while len(rows) < kn and any(cols):
+        rows.append([(j, val(t)) for j, t in enumerate(cols) if t])
+        if len(rows) < kn:
+            cols = [{d - 1: c * d for d, c in t.items() if d} for t in cols]
+    return rows
 
 
-def _pack(slots: dict, n: int, wb: int) -> int:
-    """sum_s slots[s] * 2^(8*wb*s) for |slots[s]| < 2^(8*wb - 1)."""
-    half = 1 << (8 * wb - 1)
-    buf = bytearray(_offsets(n, wb))
-    for s, v in slots.items():
-        buf[s * wb:(s + 1) * wb] = (v + half).to_bytes(wb, "little")
-    packed = int.from_bytes(buf, "little")
-    del buf  # hold few operand-sized copies at once: peak RSS is measured
-    return packed - int.from_bytes(_offsets(n, wb), "little")
+def _horner(blocks: list[list[dict]], rows, no: int, do: int, val) -> list:
+    """Horner's rule for sum_j do^(g-j) blocks[j] op^j on the values val
+    gives (packed ints, or norms bounding them), no = ord(op)."""
+    s: list = []
+    for e, block in enumerate(reversed(blocks)):
+        if s:
+            acc = [0] * (len(s) + no)
+            for k, row in enumerate(rows):
+                for i in range(k, len(s)):
+                    f = math.comb(i, k) * s[i]
+                    if f:
+                        for j, v in row:
+                            acc[i + j - k] += f * v
+            s = acc
+        s += [0] * (len(block) - len(s))
+        for o, t in enumerate(block):
+            if t:
+                s[o] += do**e * val(t)
+    return s
 
 
-def _dx(cols: list[dict]) -> list[dict]:
-    return [{d - 1: c * d for d, c in t.items() if d} for t in cols]
-
-
-def _op_mul_kronecker(ax: list[tuple[dict, int]],
-                      bx: list[tuple[dict, int]]) -> list[Poly]:
-    """The product of two x-only operators given as per-order
-    ({x-degree: numerator}, den) pairs; see op_mul for the packing and
-    the bound."""
-    da, ai = _clear_denominators(ax)
-    db, bi = _clear_denominators(bx)
-    na, nb = len(ai) - 1, len(bi) - 1
-    sa = max(max(t, default=0) for t in ai) + 1
-    sb = max(max(t, default=0) for t in bi) + 1
-    l1 = [sum(map(abs, t.values())) for t in ai]
-    # b^(k) is derived twice, not stored, to keep peak memory down
-    deriv = bi
-    bound = 0
-    ks = 0  # b^(k) != 0 exactly for k < ks
-    while ks <= na and any(deriv):
-        a_l1 = sum(math.comb(i, ks) * l1[i] for i in range(ks, na + 1))
-        bound += a_l1 * max(abs(c) for t in deriv for c in t.values())
-        deriv = _dx(deriv)
-        ks += 1
+def _op_mul_kronecker(blocks: list[list[tuple[dict, int]]],
+                      ox: list[tuple[dict, int]], kn) -> list[Poly]:
+    """sum_j blocks[j] op^j for x-only operands as _x_nums gives them,
+    reading op^(k) for k < kn; op_mul explains the packing."""
+    dc = math.lcm(*(d for b in blocks for _, d in b))
+    ci = [[_scaled(t, dc // d) for t, d in b] for b in blocks]
+    do = math.lcm(*(d for _, d in ox))
+    oi = [_scaled(t, do // d) for t, d in ox]
+    fold = max if len(blocks) == 2 else sum  # |.|_inf suffices for 1 step
+    rows = _rows(oi, kn, lambda t: fold(map(abs, t.values())))
+    bound = max(_horner(ci, rows, len(oi) - 1, do,
+                        lambda t: sum(map(abs, t.values()))), default=0)
     wb = (bound.bit_length() + 8) // 8
-    pa = [_pack(t, sa, wb) for t in ai]
-    acc = [0] * (na + nb + 1)
-    b_k = bi
-    for k in range(ks):
-        if k:
-            b_k = _dx(b_k)
-        pb = [(j, _pack(t, sb, wb)) for j, t in enumerate(b_k) if t]
-        for i in range(k, na + 1):
-            f = math.comb(i, k) * pa[i]
-            if f:
-                for j, p in pb:
-                    acc[i + j - k] += f * p
-    n = sa + sb - 1
+    acc = _horner(ci, _rows(oi, kn, lambda t: _pack(t, 8 * wb)), len(oi) - 1,
+                  do, lambda t: _pack(t, 8 * wb))
+    # a nonzero digit d makes |total| >= 2^(8*wb*d - 1), so d < n
+    n = max(map(int.bit_length, acc), default=0) // (8 * wb) + 1
     half = 1 << (8 * wb - 1)
-    empty = _offsets(1, wb)
-    offset = int.from_bytes(_offsets(n, wb), "little")
-    den = da * db
+    empty = bytes(wb - 1) + b"\x80"  # a zero digit plus the offset half
+    offset = int.from_bytes(empty * n, "little")
     out = []
-    for o, total in enumerate(acc):
+    for total in acc:
         buf = (total + offset).to_bytes(n * wb, "little")
-        terms = {}
-        for d in range(n):
-            chunk = buf[d * wb:(d + 1) * wb]
-            if chunk != empty:
-                terms[d] = int.from_bytes(chunk, "little") - half
-        out.append(Poly.from_x_nums(terms, den))
+        out.append(Poly.from_x_nums(
+            {d: int.from_bytes(c, "little") - half for d in range(n)
+             if (c := buf[d * wb:(d + 1) * wb]) != empty},
+            dc * do ** (len(blocks) - 1)))
     return out
 
 
@@ -362,12 +345,23 @@ def poly_of_op(c: list[Poly | DiffOp], op: DiffOp) -> DiffOp:
     it.  Each c_j stays on the left of op^j, so that, applied to an
     eigenfunction with eigenvalue z, Poly coefficients evaluate
     sum_j c_j(x) z^j.
+
+    When op and every c_j involve x alone, Horner's rule runs on the
+    packed ints of op_mul, over Dc*Do^g (Dc, Do: the lcm denominators of
+    the c_j and of op).  Packing is a ring map, so only the sum is
+    unpacked and only its digits must fit the slots; L1 norms carried
+    through the steps, |(R∘op)_o|_1 <= sum C(i,k) |r_i|_1 |op_j^(k)|_1
+    plus |c_j|_1, scaled alike, bound them, and w is taken from that.
     """
-    result = DiffOp.zero()
-    for cj in reversed(c):
-        result = op_mul(result, op) + (cj if isinstance(cj, DiffOp)
-                                       else DiffOp([cj]))
-    return result
+    blocks = [cj if isinstance(cj, DiffOp) else DiffOp([cj]) for cj in c]
+    ox = _x_nums(op)
+    cx = [_x_nums(b) for b in blocks] if ox else [None]
+    if None in cx:
+        result = DiffOp.zero()
+        for b in reversed(blocks):
+            result = op_mul(result, op) + b
+        return result
+    return DiffOp(_op_mul_kronecker(cx, ox, math.inf))
 
 
 def apply_to(op: DiffOp, f: Poly) -> Poly:

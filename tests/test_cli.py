@@ -469,18 +469,50 @@ EMIT_EDGE_CASES = [
 ]
 
 
+def json_form(obj):
+    """obj with every Poly replaced by its to_json(), the data model that
+    _dumps writes a Poly leaf as."""
+    if isinstance(obj, Poly):
+        return obj.to_json()
+    if isinstance(obj, dict):
+        return {k: json_form(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [json_form(v) for v in obj]
+    return obj
+
+
+def edge_polys() -> list:
+    x, z = Poly.var("x"), Poly.var("z")
+    a = [Poly.var(f"a{i}") for i in range(4)]
+    big = 2**2000 + 3
+    return [
+        Poly.zero(), Poly.one(), Poly.rat(Rat(-3, 7)), -x, x**5,
+        # every variable, mixed signs and denominators
+        Rat(5, 6) * x**2 * z * a[0]**3 - Rat(7, 4) * a[1] * a[2] + a[3]
+        + Rat(-1, 12) * z**4 + 2,
+        # over den 6 with numerators 2, 3, -4: no term in lowest terms
+        Poly.from_nums({0: 2, 1 << 80: 3, 2 << 64: -4}, 6),
+        # 2000-bit numerators of both signs, alone and over a denominator
+        Poly.from_nums({0: -big, 3 << 80: big + 2}, 1),
+        Poly.from_nums({1 << 80: -(2**2000) + 1, 1 << 64: big}, 15),
+    ]
+
+
 def test_emit_matches_json_dumps(monkeypatch, capsys):
     # _dumps is the CLI's only writer; it must give json.dumps's bytes on
     # every document the CLI emits, tuples among them, quoting strings
-    # with the function json.dumps uses
+    # with the function json.dumps uses.  construct hands it Polys, each
+    # written as the bytes of its to_json()
     assert cli.encode_basestring_ascii is json.encoder.encode_basestring_ascii
     docs = []
     monkeypatch.setattr(cli, "_emit", lambda doc, out_path: docs.append(doc))
     reference_companion = pairs.reference_companion
     monkeypatch.setattr(pairs, "reference_companion",
                         lambda g: reference_companion(g) + DiffOp.d(2))
-    runs = [["construct", "--genus", "1", "--alpha", "a0=sym,a1=sym"],
-            ["construct", "--genus", "6", "--alpha", "a0=2,a1=3/4,a2=3,a3=1"],
+    constructs = [(1, "a0=sym,a1=sym"), (6, "a0=2,a1=3/4,a2=3,a3=1"),
+                  (12, "a0=3/4,a1=3/4,a2=-5/3,a3=-1/4")]
+    runs = [*(["construct", "--genus", str(g), "--alpha", alpha]
+              for g, alpha in constructs),
             ["verify", *T3],
             *(["verify", *T3, "--inject-fault", fault]
               for fault in ("q", "curve", "companion")),
@@ -489,10 +521,21 @@ def test_emit_matches_json_dumps(monkeypatch, capsys):
         main(argv)
     capsys.readouterr()
     assert len(docs) == len(runs)
-    assert [doc["pass"] for doc in docs[2:6]] == [True, False, False, False]
+    assert [doc["pass"] for doc in docs[3:7]] == [True, False, False, False]
     assert docs[-1]["2"]["companion_diff"] == [(2, "-1")]
-    for doc in docs + EMIT_EDGE_CASES:
-        assert cli._dumps(doc) == json.dumps(doc, indent=1, sort_keys=True)
+    # the construct documents hold the to_json() form of the pair
+    for (g, alpha), doc in zip(constructs, docs):
+        pair = pairs.build_pair(g, cli._parse_alpha(alpha))
+        assert json_form(doc) == {
+            "genus": g, "Q": pair.q.q.to_json(),
+            "deltas": [d.to_json() for d in pair.q.deltas],
+            "F": pair.curve.to_json(), "L4": pair.l4.to_json(),
+            "M": pair.m.to_json()}
+    polys = edge_polys()
+    nested = [*polys, polys, {"p": polys[5], "q": [[polys[7]], (polys[6],)]}]
+    for doc in docs + EMIT_EDGE_CASES + nested:
+        assert cli._dumps(doc) == json.dumps(json_form(doc), indent=1,
+                                             sort_keys=True)
     for bad in (1.5, [0.0], {"a": 2.5}, {1: "a"}, {"a": {2: "b"}}):
         with pytest.raises(TypeError):
             cli._dumps(bad)

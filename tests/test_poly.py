@@ -7,6 +7,7 @@ import random
 import pytest
 import sympy
 
+from weylpair import poly
 from weylpair.poly import (NotDivisibleError, Poly, Rat, discriminant,
                            resultant)
 
@@ -173,6 +174,47 @@ def test_to_json_reduces_each_term_like_fraction(rng):
     cases.append(Poly.zero())
     for p in cases:
         assert p.to_json() == fraction_json(p), p
+
+
+def shift_unpack(key: int) -> tuple[int, ...]:
+    """The exponents of a key read field by field, as _unpack did before it
+    read them through struct: the reference for _unpack."""
+    return tuple((key >> poly._SHIFT[v]) & 0xFFFF for v in poly.VARS)
+
+
+def loop_glex(key: int) -> tuple[int, int]:
+    """(total degree, key) with the degree summed 16 bits at a time, as
+    _glex did before: the reference for _glex."""
+    t, k = 0, key
+    while k:
+        t += k & 0xFFFF
+        k >>= 16
+    return t, key
+
+
+def test_key_unpacking_matches_field_shifts():
+    rng = random.Random(19)
+    top = poly._EXP_LIMIT - 1
+    vecs = [[0] * 6, [top] * 6, [top] + [0] * 5, [0] * 5 + [top],
+            [1, 0, 0, 0, 0, 1], [255, 256, 0, 1, 0, 0]]
+    vecs += [[rng.randint(0, (9, 300, top)[n % 3]) for _ in range(6)]
+             for n in range(600)]
+    keys = [poly._pack(v) for v in vecs]
+    for v, k in zip(vecs, keys):
+        assert poly._unpack(k) == shift_unpack(k) == tuple(v)
+        assert poly._glex(k) == loop_glex(k)
+    assert (sorted(keys, key=poly._glex, reverse=True)
+            == sorted(keys, key=loop_glex, reverse=True))
+    # to_json, sorted_terms, degree and exact_div order terms by the same key
+    for _ in range(40):
+        p = random_poly(rng, vars=("x", "z", "a0", "a1", "a2", "a3"),
+                        max_exp=rng.choice((2, 40)), n_terms=8)
+        order = sorted(p.terms, key=loop_glex, reverse=True)
+        assert [tuple(t["e"]) for t in p.to_json()["terms"]] == [
+            shift_unpack(k) for k in order]
+        assert [e for e, _ in p.sorted_terms()] == [
+            shift_unpack(k) for k in order]
+        assert p.degree() == max(loop_glex(k)[0] for k in p.terms)
 
 
 def test_coeff_extraction():

@@ -144,6 +144,42 @@ def test_curve_identity_residual():
     assert not curve_identity_residual(bad, curve).is_zero()
 
 
+def five_product_rhs(q: Poly, v: Poly, w: Poly) -> Poly:
+    """The right-hand side of (*) term by term, with its five products of
+    Q-sized factors: curve_rhs as it was before the regrouping, kept here
+    as the reference."""
+    d = [q]
+    for _ in range(4):
+        d.append(d[-1].diff("x"))
+    rhs = 4 * (z - w) * d[0] ** 2
+    rhs = rhs - 4 * v * d[1] ** 2
+    rhs = rhs + d[2] ** 2
+    rhs = rhs - 2 * d[1] * d[3]
+    rhs = rhs + 2 * d[0] * (2 * v.diff("x") * d[1] + 4 * v * d[2] + d[4])
+    return rhs
+
+
+@pytest.mark.parametrize("variables", [("x", "z"), ("x", "z", "a0", "a3")],
+                         ids=["numeric", "symbolic"])
+def test_curve_rhs_matches_five_products(variables, rng):
+    # random Q, V and W that solve nothing, so the right-hand side keeps
+    # the x-dependence extract_curve must detect, plus the real Q at g = 3
+    x_dependent = 0
+    for _ in range(15):
+        q = random_poly(rng, vars=variables, max_exp=5, n_terms=8)
+        v = random_poly(rng, vars=[u for u in variables if u != "z"],
+                        max_exp=3, n_terms=4)
+        w = random_poly(rng, vars=[u for u in variables if u != "z"],
+                        max_exp=2, n_terms=3)
+        rhs = curve_rhs(q, v, w)
+        assert rhs == five_product_rhs(q, v, w)
+        x_dependent += rhs.degree("x") > 0
+    assert x_dependent >= 12
+    params = None if len(variables) > 2 else random_param_tuple(rng)
+    qp = build_q(3, params)
+    assert curve_rhs(qp.q, qp.v, qp.w) == five_product_rhs(qp.q, qp.v, qp.w)
+
+
 def test_curve_identity_genus1():
     qp = build_q(1)
     assert curve_identity_residual(qp, extract_curve(qp)).is_zero()

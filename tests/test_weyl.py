@@ -6,7 +6,7 @@ import random
 import pytest
 import sympy
 
-from weylpair import weyl
+from weylpair import pairs, weyl
 from weylpair.pairs import build_pair
 from weylpair.poly import Poly, Rat
 from weylpair.weyl import (DiffOp, adjoint, anticommutator, apply_to,
@@ -475,3 +475,121 @@ def test_x0_of_product_matches_full_product():
                       random_param_op(rng, rng.randint(0, 4), 16)))
     for a, b in cases:
         assert weyl.x0_of_product(a, b) == x0_parts(a, b)
+
+
+# -- poly_of_op's packed Horner against the per-step product -----------------
+
+def stepwise_poly_of_op(c: list, op: DiffOp) -> DiffOp:
+    """Horner's rule R <- R∘op + c_j with every step an op_mul unpacked
+    into Polys: poly_of_op as it was before the packed Horner, kept here
+    as the reference."""
+    result = DiffOp.zero()
+    for cj in reversed(c):
+        result = op_mul(result, op) + (cj if isinstance(cj, DiffOp)
+                                       else DiffOp.from_poly(cj))
+    return result
+
+
+def spy_kernel(monkeypatch) -> list:
+    """Record the blocks of every call to the Kronecker kernel."""
+    calls = []
+    kernel = weyl._op_mul_kronecker
+
+    def spy(blocks, ox, kn):
+        calls.append(blocks)
+        return kernel(blocks, ox, kn)
+
+    monkeypatch.setattr(weyl, "_op_mul_kronecker", spy)
+    return calls
+
+
+def test_packed_horner_matches_stepwise_random(monkeypatch):
+    # x-only operands with rational coefficients of up to 90 bits: DiffOp
+    # and Poly blocks, zero blocks at the top and in the middle, an op of
+    # the shape of L (x-degrees 6/2/3/-/0 by order) and ops with zero
+    # coefficients; each sum must take the packed path, in one call
+    calls = spy_kernel(monkeypatch)
+    rng = random.Random(20)
+    zero = DiffOp.zero()
+    ell = x_op(rng, [6, 2, 3, None, 0], 40)
+    for trial in range(12):
+        bits = (3, 40, 90)[trial % 3]
+        op = ell if trial % 4 == 0 else random_x_op(
+            rng, rng.randint(1, 5), bits, zero_frac=0.4)
+        blocks = []
+        for _ in range(rng.randint(2, 6)):
+            kind = rng.random()
+            if kind < 0.2:
+                blocks.append(zero if rng.random() < 0.5 else Poly.zero())
+            elif kind < 0.5:
+                blocks.append(random_x_op(rng, 0, bits).coeff(0))
+            else:
+                blocks.append(random_x_op(rng, rng.randint(0, 3), bits,
+                                          zero_frac=0.4))
+        blocks[1] = zero  # a zero block in the middle
+        if trial % 2:
+            blocks.append(zero)  # and one at the top
+        calls.clear()
+        got = poly_of_op(blocks, op)
+        assert [len(b) for b in calls] == [len(blocks)], trial
+        assert got == stepwise_poly_of_op(blocks, op), trial
+
+
+def test_packed_horner_slot_width_at_its_bound():
+    # op = D and blocks c_j = A_j x^3 D^(2-j) + [j = 0] P put sum A_j x^3
+    # at D^2 and P at D^0, so the L1 norms carried through Horner's rule
+    # are exact: at D^2 one term equal to T = sum A_j, at D^0 a P of
+    # norm T, its two coefficients of opposite signs.  T = 2^(w-1) - 1 is
+    # the largest digit a w-bit slot holds and T = 2^(w-1) needs the next
+    # width, so a width one byte short, or a bound that drops a step or
+    # a block, misreads the sum.
+    x3 = x**3
+    for nbytes in range(1, 6):
+        for top in ((1 << (8 * nbytes - 1)) - 1, 1 << (8 * nbytes - 1)):
+            for sign in (1, -1):
+                t = sign * top
+                parts = (t // 3, t // 5, t - t // 3 - t // 5)
+                p = DiffOp([Rat(t // 2) - Rat(t - t // 2) * x**2])
+                blocks = [DiffOp([Poly.zero(), Poly.zero(),
+                                  Rat(parts[0]) * x3]) + p,
+                          DiffOp([Poly.zero(), Rat(parts[1]) * x3]),
+                          Rat(parts[2]) * x3]
+                got = poly_of_op(blocks, D)
+                assert got == stepwise_poly_of_op(blocks, D), t
+                assert got.coeff(2) == Rat(t) * x3
+                assert got.coeff(0) == p.coeff(0)
+
+
+def test_parameter_operands_skip_packed_horner(monkeypatch):
+    # an op with a parameter, or a top block with one, makes every Horner
+    # step a product with a parameter, so no kernel call at all; with a
+    # parameter in a lower block only, the kernel runs op_mul's single
+    # products (blocks [0, a]), never the whole sum
+    rng = random.Random(22)
+    a = random_x_op(rng, 2, 20)
+    h = random_x_op(rng, 3, 20)
+    calls = spy_kernel(monkeypatch)
+    for blocks, op in (([a, x, a], H), ([a, a0 * x, DiffOp([a0, x])], h)):
+        assert poly_of_op(blocks, op) == stepwise_poly_of_op(blocks, op)
+        assert calls == []
+    blocks = [a, DiffOp([a0 * x, Poly.one()]), a, a]
+    assert poly_of_op(blocks, h) == stepwise_poly_of_op(blocks, h)
+    assert calls and all(len(b) == 2 and not b[0] for b in calls)
+
+
+def test_build_companion_decodes_m_once(monkeypatch):
+    # the packed Horner unpacks only the sum: at numeric g = 8 building M
+    # makes exactly one Poly per coefficient of M from packed digits
+    pair = build_pair(8, {"a0": Rat(2), "a1": Rat(3, 4), "a2": Rat(3),
+                          "a3": Rat(1)})
+    made = []
+    from_x_nums = Poly.from_x_nums
+
+    def counting(terms, den):
+        made.append(den)
+        return from_x_nums(terms, den)
+
+    monkeypatch.setattr(Poly, "from_x_nums", staticmethod(counting))
+    m = pairs.build_companion(pair.q, pair.l4)
+    assert m == pair.m
+    assert len(made) == m.order() + 1 == 35
