@@ -357,18 +357,16 @@ def cmd_examples(args) -> int:
     return 1 if failed else 0
 
 
+COMMANDS = {"construct": cmd_construct, "verify": cmd_verify,
+            "examples": cmd_examples}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # the subcommand is required, so argparse exits 2 on any other
+    args = build_parser().parse_args(argv)
     try:
         _check_out(getattr(args, "out", None))
-        if args.command == "construct":
-            return cmd_construct(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "examples":
-            return cmd_examples(args)
-        parser.error(f"unknown command {args.command}")
+        return COMMANDS[args.command](args)
     except ParamError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 2
@@ -376,7 +374,6 @@ def main(argv=None) -> int:
         print(f"internal consistency error: "
               f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    return 0
 
 
 if __name__ == "__main__":

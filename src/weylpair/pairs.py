@@ -31,9 +31,12 @@ is x0_of_product(M, M), and X(F(L)) comes from Horner's rule over x^0
 parts, R <- X(R∘L) + c_j from R = 1, with every R x-free.
 
 A commutant solver provides a second, independent route to M: it solves
-[L, M] = 0 from L alone, one coefficient of M at a time from the top order
-down (the Burchnall-Chaundy recursion), and finds every monic commuting
-operator of a given order.
+[L, M] = 0 from L alone and finds every monic commuting operator of a
+given order n.  Each run(t), t = 0..n, solves for D^t + lower terms one
+coefficient at a time from the top order down (the Burchnall-Chaundy
+recursion) with every integration constant 0.  As [L, .] is linear, the
+solutions are the run(n) + sum_k c_k run(k) whose leftover low-order
+brackets cancel, and one echelon reduction finds those c_k.
 """
 
 from __future__ import annotations
@@ -243,23 +246,20 @@ def _reduce(op: DiffOp, combo: dict, pivots: dict):
     return op, combo
 
 
-def _affine_map(form: dict, fn) -> dict:
-    """Apply a linear map to every component of an affine form."""
-    out = {}
-    for key, c in form.items():
-        c = fn(c)
-        if not c.is_zero():
-            out[key] = c
-    return out
-
-
-def _affine_add(acc: dict, form: dict) -> None:
-    for key, c in form.items():
-        total = acc.get(key, Poly.zero()) + c
-        if total.is_zero():
-            acc.pop(key, None)
+def _echelon(ops: list[DiffOp]):
+    """Reduce each op in turn by the pivots of those before it.  Returns
+    (pivots, dependent): a nonzero rest becomes the pivot of its leading
+    term, and an op that reduces to zero adds its combination, its own
+    index at 1, to dependent."""
+    pivots: dict = {}
+    dependent = []
+    for k, op in enumerate(ops):
+        rest, combo = _reduce(op, {k: 1}, pivots)
+        if rest.is_zero():
+            dependent.append(combo)
         else:
-            acc[key] = total
+            pivots[_lead(rest)[0]] = (rest, combo)
+    return pivots, dependent
 
 
 def _integrate_x(p: Poly) -> Poly:
@@ -273,22 +273,23 @@ def commutant_solve(l4: DiffOp, order: int, known: DiffOp | None = None):
     """All monic operators M of the given order with [L, M] = 0, for a
     monic L of order four with numeric coefficients.
 
-    Write M = D^n + sum_k m_k D^k.  By the Burchnall-Chaundy recursion
-    the D^(k+3) coefficient of [L, M] is 4*m_k' + R_k, where R_k involves
-    only the m_j with j > k (the j = k-1 terms cancel).  R_k must sum
-    over every j > k, not only j <= k+3: in (m_j D^j)(l_i D^i) the term
-    m_j*l_i^(s) reaches D^(i+j-s) for every s up to deg l_i.  Going from
-    k = n-1 down to 0, m_k = -(1/4)*integral(R_k) + c_k with one fresh
-    constant c_k per order, so each m_k is an affine form in the
-    constants: a dict from None (the constant part) and each k' to the
-    polynomial multiplying 1 and c_k'.  The antiderivative of a
-    polynomial is a polynomial, so no degree bound is guessed and the set
-    found is the whole solution set.  What remains is an order-2
-    operator, the D^0..D^2 part of [L, M], equal to v(None) + sum_k c_k
-    v(k).  _reduce takes v(0), v(1), ... in turn: one spanned by those
-    before gives the basis vector with c_k = 1, any other becomes a pivot,
-    and v(None) must reduce to zero.  These are the free-column basis and
-    the particular solution of reduced row echelon form.
+    The recursion step (Burchnall-Chaundy 1923): [L, m*D^j] has no term
+    above D^(j+3), and its D^(j+3) coefficient is 4*m'.  So run(t) finds
+    M_t = D^t + sum_{k<t} m_k D^k from the top order down: m_k =
+    -(1/4)*integral(R_k), R_k the D^(k+3) coefficient of [L, sum_{j>k}
+    m_j D^j], with every integration constant 0.  R_k sums over every
+    j > k, not only j <= k+3: in (m_j D^j)(l_i D^i) the term m_j*l_i^(s)
+    reaches D^(i+j-s) for every s up to deg l_i.  An antiderivative of a
+    polynomial is a polynomial, so no degree bound is guessed.  What is
+    left of [L, M_t] is v(t), its D^0..D^2 part.
+
+    [L, .] is linear, and a constant c_k added to m_k adds c_k*M_k to
+    the result, so the monic solutions of order n are M_n + sum_k c_k M_k
+    with v(n) + sum_k c_k v(k) = 0.  _echelon takes v(0), v(1), ... in
+    turn: one spanned by those before gives the basis vector with c_k =
+    1, any other becomes a pivot, and v(n) must reduce to zero.  These
+    are the free-column basis and the particular solution of reduced row
+    echelon form.
 
     Returns (particular, basis): the affine solution set is particular +
     span(basis).  Raises ValueError when the system is inconsistent.  If
@@ -301,69 +302,58 @@ def commutant_solve(l4: DiffOp, order: int, known: DiffOp | None = None):
         raise ValueError("commutant_solve requires numeric parameters")
     if l4.order() != 4 or l4.coeff(4) != Poly.one():
         raise ValueError("commutant_solve requires a monic L of order 4")
-    # l_derivs[i][s] = l_i^(s), for s up to deg l_i
-    l_derivs = []
-    for li in l4.coeffs:
-        ds = [li]
-        while not ds[-1].is_zero():
-            ds.append(ds[-1].diff("x"))
-        l_derivs.append(ds[:-1])
-    # acc[r]: D^r coefficient of [L, sum of the m_j D^j solved so far]
-    acc: list[dict] = [{} for _ in range(order + 4)]
+    # [L, m*D^j] = sum_e D^(j+e) * sum_{i-s=e} (C(i,s)*l_i*m^(s) -
+    # C(j,s)*l_i^(s)*m), s >= 1 as the s = 0 terms of L*M and M*L cancel.
+    # left[e] lists (s, C(i,s)*l_i) for e <= 2; the one e = 3 term, 4*m',
+    # cancels R_j by the choice of m_j and is never formed.  right[j][e]
+    # is the sum of -C(j,s)*l_i^(s), s up to deg l_i, shared by all runs.
+    left = [[] for _ in range(3)]
+    right = [{} for _ in range(order + 1)]
+    for i, li in enumerate(l4.coeffs):
+        for s in range(max(1, i - 2), i + 1):
+            left[i - s].append((s, math.comb(i, s) * li))
+        ds = li
+        for s in range(1, order + 1):
+            ds = ds.diff("x")
+            if ds.is_zero():
+                break
+            for j in range(s, order + 1):
+                right[j][i - s] = (right[j].get(i - s, Poly.zero())
+                                   - math.comb(j, s) * ds)
 
-    def add_commutator(j: int, mj: dict) -> None:
-        m_derivs = [mj]
-        for _ in range(4):
-            m_derivs.append(_affine_map(m_derivs[-1],
-                                        lambda c: c.diff("x")))
-        # the s = 0 terms of L*M and M*L cancel, so s starts at 1
-        for i, ds in enumerate(l_derivs):
-            if not ds:
-                continue
-            for s in range(1, i + 1):  # (l_i D^i)(m_j D^j)
-                p = math.comb(i, s) * ds[0]
-                _affine_add(acc[i + j - s],
-                            _affine_map(m_derivs[s], lambda c: c * p))
-            for s in range(1, min(j, len(ds) - 1) + 1):  # (m_j D^j)(l_i D^i)
-                p = -math.comb(j, s) * ds[s]
-                _affine_add(acc[i + j - s], _affine_map(mj, lambda c: c * p))
+    def run(t: int):
+        """(the coefficients of M_t, v(t)), every integration constant 0."""
+        m = [Poly.zero()] * t + [Poly.one()]
+        acc = [Poly.zero()] * (t + 3)  # acc[r]: D^r coefficient of [L, M_t]
+        for j in range(t, -1, -1):
+            if j < t:
+                m[j] = Rat(-1, 4) * _integrate_x(acc[j + 3])
+            derivs = [m[j]]
+            for _ in range(4):
+                derivs.append(derivs[-1].diff("x"))
+            for e, p in right[j].items():
+                acc[j + e] += p * m[j]
+            for e, terms in enumerate(left):
+                for s, p in terms:
+                    acc[j + e] += p * derivs[s]
+        return m, DiffOp(acc[:3])
 
-    m = [None] * order + [{None: Poly.one()}]
-    add_commutator(order, m[order])
-    for k in range(order - 1, -1, -1):
-        mk = _affine_map(acc[k + 3], lambda c: Rat(-1, 4) * _integrate_x(c))
-        mk[k] = Poly.one()
-        m[k] = mk
-        add_commutator(k, mk)
-
-    def v(key):  # D^0..D^2 of [L, M] = v(None) + sum_k c_k v(k)
-        return DiffOp([form.get(key, Poly.zero()) for form in acc[:3]])
-
-    pivots: dict = {}
-    basis_combos = []
-    for k in range(order):
-        rest, combo = _reduce(v(k), {k: 1}, pivots)
-        if rest.is_zero():
-            basis_combos.append(combo)
-        else:
-            pivots[_lead(rest)[0]] = (rest, combo)
-    rest, particular_combo = _reduce(v(None), {}, pivots)
+    runs = [run(t) for t in range(order + 1)]
+    pivots, basis_combos = _echelon([v for _, v in runs[:order]])
+    rest, particular_combo = _reduce(runs[order][1], {}, pivots)
     if not rest.is_zero():
         raise ValueError(
             f"no monic operator of order {order} commutes with L")
 
-    def assemble(combo, const):
-        coeffs = []
-        for mk in m:
-            p = mk.get(None, Poly.zero()) if const else Poly.zero()
-            for c, u in combo.items():
-                if c in mk:
-                    p = p + u * mk[c]
-            coeffs.append(p)
+    def assemble(combo, coeffs):
+        coeffs = list(coeffs)
+        for t, u in combo.items():
+            for k, mk in enumerate(runs[t][0]):
+                coeffs[k] += u * mk
         return DiffOp(coeffs)
 
-    particular = assemble(particular_combo, True)
-    basis = [assemble(c, False) for c in basis_combos]
+    particular = assemble(particular_combo, runs[order][0])
+    basis = [assemble(c, [Poly.zero()] * order) for c in basis_combos]
     if known is not None and not in_affine_span(known, particular, basis):
         raise ValueError("known operator lies outside the commutant of L")
     return particular, basis
@@ -371,15 +361,9 @@ def commutant_solve(l4: DiffOp, order: int, known: DiffOp | None = None):
 
 def in_affine_span(op: DiffOp, particular: DiffOp,
                    basis: list[DiffOp]) -> bool:
-    """Whether op = particular + rational combination of basis.  The
-    basis is put in echelon form by _reduce, each nonzero rest becoming
-    the pivot of its leading term; then op - particular must reduce to
-    zero."""
-    pivots: dict = {}
-    for b in basis:
-        rest, _ = _reduce(b, {}, pivots)
-        if not rest.is_zero():
-            pivots[_lead(rest)[0]] = (rest, {})
+    """Whether op = particular + rational combination of basis: with the
+    basis in echelon form, op - particular must reduce to zero."""
+    pivots, _ = _echelon(basis)
     return _reduce(op - particular, {}, pivots)[0].is_zero()
 
 
@@ -388,8 +372,5 @@ def is_power_span(basis: list[DiffOp], l4: DiffOp, g: int) -> bool:
     powers = [DiffOp.identity()]
     while len(powers) <= g:
         powers.append(op_mul(powers[-1], l4))
-    zero = DiffOp.zero()
-    for b in basis:
-        if not in_affine_span(b, zero, powers):
-            return False
-    return True
+    pivots, _ = _echelon(powers)
+    return all(_reduce(b, {}, pivots)[0].is_zero() for b in basis)

@@ -55,6 +55,16 @@ def test_construct_rejects_genus_zero(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [["bogus"], []])
+def test_unknown_or_missing_command_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "invalid choice" in out.err or "required" in out.err
+
+
 def test_param_error_exit_code(capsys):
     code, _, err = run_cli(
         ["construct", "--genus", "1", "--alpha", "a3=0"], capsys)

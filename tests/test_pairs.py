@@ -1,10 +1,13 @@
 """The commuting pair: construction, certificates, reference forms, and
 the independent commutant solver."""
 
+import hashlib
+import json
 import math
 import random
 
 import pytest
+import sympy
 
 from weylpair.curve import ParamError, SpectralCurve
 from weylpair.pairs import (OperatorPair, build_companion, build_pair,
@@ -573,6 +576,56 @@ def test_commutant_solver_perturbed_w_has_no_companion(g, shift, rng):
     l4 = perturbed_quartic(g, random_param_tuple(rng), shift)
     with pytest.raises(ValueError, match="no monic operator"):
         commutant_solve(l4, 4 * g + 2)
+
+
+# sha256 of json.dumps([particular, basis] as to_json, sort_keys=True):
+# the solver's exact output, not only its affine solution set
+ORACLE_PINS = [
+    (1, NUMERIC, 4,
+     "5cdfa373f42d36c132fe194ed9acdfe027b7533ca8542ac39ccd6480da8ff527"),
+    (1, NUMERIC, 6,
+     "f7980a6c81405dddfad7eb505f3a534c1fa971bf6187a363923d35c323d89e58"),
+    (2, {"a0": 2, "a1": 1, "a2": 0, "a3": 1}, 10,
+     "a976cc64965e6e40836c28a3591679954c7ad4531987c594d991f31dbc4363bf"),
+    (2, {"a0": Rat(-5, 2), "a1": Rat(1, 3), "a2": Rat(7, 4), "a3": -2}, 10,
+     "0b97326efcfa030c15bc3c821e8401a4f5217db24df548bf8567f8a948e2caae"),
+    (3, NUMERIC, 14,
+     "0fa4875d4bc159ce8aa0e564b7bc561db9422dfc9618b643e7c3de5cad3fec77"),
+]
+
+
+@pytest.mark.parametrize("g,params,order,digest", ORACLE_PINS,
+                         ids=["g1-order4", "g1-order6", "g2-int", "g2-rat",
+                              "g3-order14"])
+def test_commutant_solver_output_pinned(g, params, order, digest):
+    pair = build_pair(g, params)
+    known = pair.m if order == pair.m.order() else None
+    particular, basis = commutant_solve(pair.l4, order, known=known)
+    text = json.dumps([particular.to_json(), [b.to_json() for b in basis]],
+                      sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_recursion_step_lemma():
+    # [D^4 + l2 D^2 + l1 D + l0, m D^j] stops at D^(j+3), where its
+    # coefficient is 4m': the step of every run in commutant_solve
+    sx = sympy.Symbol("x")
+    f, m, l0, l1, l2 = (sympy.Function(name)(sx)
+                        for name in ("f", "m", "l0", "l1", "l2"))
+
+    def quartic(u):
+        return (u.diff(sx, 4) + l2 * u.diff(sx, 2) + l1 * u.diff(sx)
+                + l0 * u)
+
+    for j in range(7):
+        bracket = sympy.expand(quartic(m * f.diff(sx, j))
+                               - m * quartic(f).diff(sx, j))
+        ys = sympy.symbols(f"y0:{j + 5}")
+        for k in range(j + 4, -1, -1):  # D^k f -> y_k, highest first
+            bracket = bracket.subs(f.diff(sx, k), ys[k])
+        assert not bracket.has(f)
+        assert bracket.coeff(ys[j + 4]) == 0
+        assert sympy.expand(bracket.coeff(ys[j + 3]) - 4 * m.diff(sx)) == 0
 
 
 def test_commutant_solver_rejects_known_outside_set():
