@@ -37,8 +37,7 @@ from .pairs import (OperatorPair, build_pair, match_reference_examples,
                     verify_commutation, verify_square_identity)
 from .weyl import DiffOp, is_self_adjoint
 from .poly import NVARS, NotDivisibleError, Poly, Rat
-from .qsolver import (DegreeError, NormalizationError,
-                      RecursionDivisionError, XDependenceError,
+from .qsolver import (DegreeError, XDependenceError,
                       curve_identity_residual, q_ode_residual,
                       trace_identity_residual)
 # imported after the package modules: a launch without cached bytecode
@@ -46,8 +45,7 @@ from .qsolver import (DegreeError, NormalizationError,
 # 0.1 MB more peak RSS
 import argparse
 
-INTERNAL_ERRORS = (NotDivisibleError, RecursionDivisionError,
-                   NormalizationError, XDependenceError, DegreeError,
+INTERNAL_ERRORS = (NotDivisibleError, XDependenceError, DegreeError,
                    MultipleRootError, DegenerateDerivativeError)
 
 

@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from .curve import SpectralCurve, require_bound
 from .poly import NotDivisibleError, Poly, Rat, discriminant, resultant
-from .qsolver import DegreeError, QPolynomial, XDependenceError, extract_curve
+from .qsolver import (DegreeError, QPolynomial, XDependenceError, _x_derivs,
+                      extract_curve)
 
 
 class MultipleRootError(RuntimeError):
@@ -45,11 +46,7 @@ def _bind(qp: QPolynomial, params: dict | None) -> QPolynomial:
 
 def _x_slices(qp: QPolynomial, x0: Rat) -> list[Poly]:
     """Q, Qx, Qxx and Qxxx at x = x0, as polynomials in z."""
-    out, p = [], qp.q
-    for _ in range(4):
-        out.append(p.eval({"x": x0}))
-        p = p.diff("x")
-    return out
+    return [p.eval({"x": x0}) for p in _x_derivs(qp.q, 3)]
 
 
 def _vanishes_at_a_root(q: Poly, p: Poly) -> bool:

@@ -47,8 +47,8 @@ from functools import cached_property
 
 from .curve import PARAM_NAMES, ParamError
 from .poly import Poly, Rat
-from .qsolver import (QPolynomial, build_q, extract_curve, potentials,
-                      resolve_alphas)
+from .qsolver import (QPolynomial, _x_derivs, build_q, extract_curve,
+                      potentials, resolve_alphas)
 from .weyl import (DiffOp, anticommutator, commutator, op_mul, poly_of_op,
                    x0_of_product)
 
@@ -328,9 +328,7 @@ def commutant_solve(l4: DiffOp, order: int, known: DiffOp | None = None):
         for j in range(t, -1, -1):
             if j < t:
                 m[j] = Rat(-1, 4) * _integrate_x(acc[j + 3])
-            derivs = [m[j]]
-            for _ in range(4):
-                derivs.append(derivs[-1].diff("x"))
+            derivs = _x_derivs(m[j], 4)
             for e, p in right[j].items():
                 acc[j + e] += p * m[j]
             for e, terms in enumerate(left):

@@ -11,24 +11,19 @@ there is a polynomial Q(x, z), of degree g in each of x and z, such that
 
 holds with F a monic polynomial of degree 2g+1 in z alone (primes are
 x-derivatives).  This module builds Q coefficient-by-coefficient from the
-fifth-order linear ODE obtained by differentiating (*), extracts F, and
-provides exact residual checks for every identity involved.
+fifth-order linear ODE obtained by differentiating (*), by a recursion
+that divides by nothing, extracts F, and provides exact residual checks
+for every identity involved.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import namedtuple
+from itertools import accumulate
 
-from .poly import NotDivisibleError, Poly, Rat
+from .poly import Poly, Rat
 from .curve import PARAM_NAMES, ParamError, SpectralCurve
-
-
-class RecursionDivisionError(ArithmeticError):
-    """A coefficient-recursion step failed to divide exactly by a3."""
-
-
-class NormalizationError(ValueError):
-    """The assembled Q has no constant nonzero z^g coefficient."""
 
 
 class XDependenceError(ArithmeticError):
@@ -44,7 +39,9 @@ def resolve_alphas(params: dict | None) -> tuple[Poly, Poly, Poly, Poly]:
 
     params maps a subset of {a0, a1, a2, a3} to rational values (int, Rat
     or "num/den" string); unbound parameters stay symbolic.  Binding a3 to
-    zero is rejected: the construction divides by a3.
+    zero is rejected: the ODE of Q needs the cubic potential, since with
+    a3 = 0 the coefficient A_s = -2 a3 (g-s)(s+g+1)(2s+1) of delta_s in
+    its recursion (build_deltas) vanishes and fixes no delta_s.
     """
     params = params or {}
     unknown = set(params) - set(PARAM_NAMES)
@@ -75,8 +72,8 @@ class QPolynomial(namedtuple("QPolynomial", "g deltas q v w alphas")):
     """Q(x, z) together with its coefficient ladder and potentials.
 
     deltas[s] is the raw coefficient of x^s produced by the recursion
-    (seeded with deltas[g] = a3^g); q is the assembled sum rescaled by a
-    rational constant so that its z^g coefficient is exactly 1.  v and w
+    (deltas[g] = a3^g, deltas[s] = a3^s eps_s); q is their sum rescaled by
+    a rational constant so that its z^g coefficient is exactly 1.  v and w
     are the potentials, alphas the four parameter polynomials.
     """
 
@@ -104,72 +101,57 @@ class QPolynomial(namedtuple("QPolynomial", "g deltas q v w alphas")):
 def build_deltas(g: int, params: dict | None = None) -> list[Poly]:
     """Coefficient ladder of Q = sum_s delta_s(z) x^s, from top down.
 
-    delta_g = a3^g; for s < g,
+    The x^s coefficient of the fifth-order ODE of Q (derived_ode_residual;
+    arXiv:1107.3356) on sum_t delta_t x^t is 2(s+1) R_s + A_s delta_s, with
+    A_s = -2 a3 (g-s)(s+g+1)(2s+1) and
 
-        delta_s = (s+1) / (a3 (g-s)(s+g+1)(2s+1)) * (
-                    2 (a2 (s+1)^2 + z) delta_{s+1}
-                  + a1 (s+2)(2s+3) delta_{s+2}
-                  + 2 a0 (s+2)(s+3) delta_{s+3}
-                  + 1/2 (s+2)(s+3)(s+4)(s+5) delta_{s+5} )
+        R_s = 2 (a2 (s+1)^2 + z) delta_{s+1} + a1 (s+2)(2s+3) delta_{s+2}
+              + 2 a0 (s+2)(s+3) delta_{s+3}
+              + 1/2 (s+2)(s+3)(s+4)(s+5) delta_{s+5},
 
-    with delta_t = 0 for t > g.  The a3^g seed makes every division by a3
-    an exact polynomial division; a failed division signals a defect in the
-    recursion itself and aborts loudly.
+    delta_t = 0 for t > g.  A_g = 0 frees delta_g = a3^g, and each s < g
+    sets delta_s = (s+1) R_s / (a3 (g-s)(s+g+1)(2s+1)).  With delta_t =
+    a3^t eps_t and eps_g = 1 the step divides by nothing: eps_s =
+    (s+1) R'_s / ((g-s)(s+g+1)(2s+1)), R'_s being R_s with each delta_t
+    read as eps_t and its a1, a0 and 1/2 terms times a3, a3^2 and a3^4.
     """
     if g < 1:
         raise ParamError(f"genus must be >= 1, got {g}")
     a0, a1, a2, a3 = resolve_alphas(params)
     z = Poly.var("z")
-    deltas: list[Poly] = [Poly.zero()] * (g + 1)
-    deltas[g] = a3**g
-
-    def delta(t: int) -> Poly:
-        return deltas[t] if t <= g else Poly.zero()
-
+    a3sq = a3 * a3
+    b1, b0, b5 = a1 * a3, a0 * a3sq, a3sq * a3sq
+    eps = [Poly.zero()] * (g + 5)
+    eps[g] = Poly.one()
     for s in range(g - 1, -1, -1):
-        acc = (a2 * Rat(2 * (s + 1) ** 2) + 2 * z) * delta(s + 1)
-        acc = acc + a1 * Rat((s + 2) * (2 * s + 3)) * delta(s + 2)
-        acc = acc + a0 * Rat(2 * (s + 2) * (s + 3)) * delta(s + 3)
-        acc = acc + Rat((s + 2) * (s + 3) * (s + 4) * (s + 5), 2) * delta(s + 5)
-        acc = acc * Rat(s + 1, (g - s) * (s + g + 1) * (2 * s + 1))
-        try:
-            deltas[s] = acc.exact_div(a3)
-        except NotDivisibleError as exc:
-            raise RecursionDivisionError(
-                f"delta_{s} is not divisible by a3") from exc
-    return deltas
+        acc = (a2 * Rat(2 * (s + 1) ** 2) + 2 * z) * eps[s + 1]
+        acc = acc + b1 * Rat((s + 2) * (2 * s + 3)) * eps[s + 2]
+        acc = acc + b0 * Rat(2 * (s + 2) * (s + 3)) * eps[s + 3]
+        acc = acc + (b5 * Rat((s + 2) * (s + 3) * (s + 4) * (s + 5), 2)
+                     * eps[s + 5])
+        eps[s] = acc * Rat(s + 1, (g - s) * (s + g + 1) * (2 * s + 1))
+    powers = accumulate([a3] * g, operator.mul)  # a3^1, ..., a3^g
+    return [eps[0]] + [p * e for p, e in zip(powers, eps[1:g + 1])]
 
 
-def assemble_q(deltas: list[Poly], params: dict | None = None) -> QPolynomial:
-    """Assemble Q = sum delta_s x^s and rescale it monic in z.
-
-    The identity (*) forces a monic Q once F is required monic; the raw sum
-    determines Q only up to a constant.  The z^g coefficient of the raw sum
-    must be a nonzero rational constant for the rescaling to stay inside
-    the polynomial ring.
-    """
-    g = len(deltas) - 1
-    x = Poly.var("x")
+def build_q(g: int, params: dict | None = None) -> QPolynomial:
+    """Q = sum delta_s x^s, rescaled monic in z: (*) forces a monic Q once
+    F is monic, and the sum fixes Q only up to a constant.  Only
+    2z delta_{s+1} raises the z-degree, so the z^g coefficient is that of
+    delta_0, the nonzero rational prod_{s<g} 2(s+1) / ((g-s)(s+g+1)(2s+1))."""
+    deltas = build_deltas(g, params)
     raw = Poly.zero()
     for s, d in enumerate(deltas):
-        raw = raw + d * x**s
-    lead = raw.coeff_in("z", g)
-    if not lead.is_constant() or lead.is_zero():
-        raise NormalizationError(
-            f"z^{g} coefficient of assembled Q is not a nonzero constant: "
-            f"{lead}")
-    q = raw * Poly.rat(1 / lead.const_value())
+        raw = raw + d * Poly.var("x", s)
+    q = raw * Poly.rat(1 / deltas[0].coeff_in("z", g).const_value())
     alphas = resolve_alphas(params)
     v, w = potentials(g, alphas)
     return QPolynomial(g=g, deltas=tuple(deltas), q=q, v=v, w=w,
                        alphas=alphas)
 
 
-def build_q(g: int, params: dict | None = None) -> QPolynomial:
-    return assemble_q(build_deltas(g, params), params)
-
-
 def _x_derivs(q: Poly, n: int) -> list[Poly]:
+    """[q, q', ..., q^(n)], derivatives in x."""
     out = [q]
     for _ in range(n):
         out.append(out[-1].diff("x"))

@@ -13,6 +13,7 @@ from weylpair import cli, pairs
 from weylpair.cli import main
 from weylpair.curve import SpectralCurve
 from weylpair.poly import Poly, Rat
+from weylpair.qsolver import XDependenceError
 from weylpair.weyl import DiffOp
 
 
@@ -70,6 +71,18 @@ def test_param_error_exit_code(capsys):
         ["construct", "--genus", "1", "--alpha", "a3=0"], capsys)
     assert code == 2
     assert "a3" in err
+
+
+@pytest.mark.parametrize("command", ["construct", "verify"])
+def test_internal_error_exit_code(command, monkeypatch, capsys):
+    def build_pair(g, params):
+        raise XDependenceError("probe")
+
+    monkeypatch.setattr(cli, "build_pair", build_pair)
+    code, out, err = run_cli([command, "--genus", "1"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == "internal consistency error: XDependenceError: probe\n"
 
 
 def test_bad_alpha_string(capsys):

@@ -1,13 +1,15 @@
 """The Q recursion, its ODE gate, and the spectral polynomial extraction."""
 
+import hashlib
+import json
+
 import pytest
+import sympy
 
 from weylpair.curve import ParamError
-from weylpair.poly import NotDivisibleError, Poly, Rat
-from weylpair.qsolver import (QPolynomial, RecursionDivisionError,
-                              XDependenceError, assemble_q,
-                              build_deltas, build_q, curve_identity_residual,
-                              curve_rhs, derived_ode_residual, extract_curve,
+from weylpair.poly import Poly, Rat
+from weylpair.qsolver import (QPolynomial, XDependenceError, build_deltas,
+                              build_q, curve_identity_residual, curve_rhs, derived_ode_residual, extract_curve,
                               q_ode_residual, trace_identity_residual)
 
 from conftest import derived_ode_reading, random_param_tuple, random_poly
@@ -40,22 +42,93 @@ def test_deltas_reject_bad_genus():
         build_deltas(0)
 
 
-def test_deltas_report_only_a_failed_division(monkeypatch):
-    # a remainder in the division by a3 is the recursion's own defect;
-    # any other error inside exact_div propagates as itself
-    def raising(exc):
-        def exact_div(self, d):
-            raise exc
-        return exact_div
+# sha256 of the deltas, Q, V and W as JSON, recorded before the recursion
+# was rewritten without division: every byte of the construction is kept
+TUPLE = {"a0": Rat(-7, 3), "a1": Rat(5, 4), "a2": Rat(-9, 2), "a3": Rat(7, 3)}
+Q_PINS = [
+    (1, None,
+     "95dcda8f6008da3daa2b1d6f87e3326b290b68289244240e8cb432e0388c197f"),
+    (2, None,
+     "41766a27037d164db910103ddba0924920342d2dba25257191dd2f044610acb1"),
+    (3, None,
+     "546f7d6dfcb83f1cd394a7f7f7d3432bceb3bffcf6c00e5181e2a257ced2d423"),
+    (4, None,
+     "4f624669492c39f36a810f7d701fecff3a725b51437c1ff89734bbc38201ad77"),
+    (5, None,
+     "371983e29bae09dd90746701ef79592fd3658241c15a331cb8ee44088f1981c9"),
+    (6, None,
+     "dc57aea7a80688bf2163dc8c5615fccb9d7e7fd434e2120c8775b6aa8995ac54"),
+    (7, None,
+     "39389a4898529e0e5546dcfcd83e187175976f4478e7044a752e437be1298e5a"),
+    (8, None,
+     "045e9f5532799f58aae8b9814e01c10e09767084cc70c86b9e1f0d4fc15e2a1c"),
+    (2, SLICE,
+     "9051dfd0d33eb95af1d77158ad70e773a2892aabe9e2a237d1360d03a4afb568"),
+    (3, SLICE,
+     "2c55a3c0bdf58a6dd952040744df861e52543e2a6a2be97e81664d1b58084113"),
+    (5, TUPLE,
+     "29d8943ad2ea3c171f2be9a798adaaed5babfe353e8aaf9fba629790c716fe3a"),
+    (12, TUPLE,
+     "c9a49543f0f079dc19762a742f266ebe22403b9fdef3c75c386591f5f26f64f8"),
+]
 
-    monkeypatch.setattr(Poly, "exact_div",
-                        raising(NotDivisibleError("remainder")))
-    with pytest.raises(RecursionDivisionError,
-                       match="delta_1 is not divisible by a3"):
-        build_deltas(2)
-    monkeypatch.setattr(Poly, "exact_div", raising(TypeError("defect")))
-    with pytest.raises(TypeError, match="defect"):
-        build_deltas(2)
+
+@pytest.mark.parametrize("g,params,digest", Q_PINS,
+                         ids=[f"g{g}-symbolic" for g in range(1, 9)]
+                         + ["g2-slice", "g3-slice", "g5-rat", "g12-rat"])
+def test_q_construction_pinned(g, params, digest):
+    qp = build_q(g, params)
+    text = json.dumps([[d.to_json() for d in qp.deltas], qp.q.to_json(),
+                       qp.v.to_json(), qp.w.to_json()], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("params", [None, TUPLE], ids=["symbolic", "rat"])
+def test_q_lead_coefficient_closed_form(params):
+    # only 2z delta_{s+1} raises the z-degree, so [z^g]delta_0 is a
+    # nonzero rational and build_q's monic rescaling always exists
+    for g in range(1, 13):
+        lead = Rat(1)
+        for s in range(g):
+            lead *= Rat(2 * (s + 1), (g - s) * (s + g + 1) * (2 * s + 1))
+        assert build_deltas(g, params)[0].coeff_in("z", g) == Poly.rat(lead)
+
+
+def test_recursion_is_the_ode_for_every_genus():
+    # the x^s coefficient of the parameter form of the ODE (as in
+    # derived_ode_residual) on Q = sum_t delta_t x^t, by the rule
+    # [x^s](x^k Q^(n)) = delta_{s-k+n} (s-k+n)!/(s-k)!, a falling factorial
+    # and so a polynomial in s; q[n] stands for Q^(n), d[j] for delta_{s+j}
+    # and e[j] for eps_{s+j}
+    g, s, b0, b1, b2, b3, sz, sx = sympy.symbols("g s a0 a1 a2 a3 z x")
+    q = sympy.symbols("q0:6")
+    d = sympy.symbols("d0:6")
+    e = sympy.symbols("e0:6")
+    v = b3 * sx**3 + b2 * sx**2 + b1 * sx + b0
+    ode = (q[5] + 4 * v * q[3]
+           + 4 * (b2 - (g**2 + g - 3) * b3 * sx + sz) * q[1]
+           + 6 * v.diff(sx) * q[2] - 2 * g * (g + 1) * b3 * q[0])
+    coeff = 0
+    for (k, *ns), c in sympy.Poly(ode, sx, *q).terms():
+        n = ns.index(1)
+        coeff += c * d[n - k] * sympy.expand_func(sympy.ff(s - k + n, n))
+    # R_s of build_deltas; A_s = -2 a3 c_s is the coefficient of delta_s
+    r = (2 * (b2 * (s + 1)**2 + sz) * d[1]
+         + b1 * (s + 2) * (2 * s + 3) * d[2]
+         + 2 * b0 * (s + 2) * (s + 3) * d[3]
+         + (s + 2) * (s + 3) * (s + 4) * (s + 5) * d[5] / 2)
+    c_s = (g - s) * (s + g + 1) * (2 * s + 1)
+    assert sympy.expand(coeff - (2 * (s + 1) * r - 2 * b3 * c_s * d[0])) == 0
+    # delta_{s+j} = a3^s a3^j eps_{s+j} gives R_s = a3^s a3 R'_s, so
+    # delta_s = (s+1) R_s / (a3 c_s) is a3^s eps_s with eps_s =
+    # (s+1) R'_s / c_s, a step that divides by nothing; p stands for a3^s
+    r_eps = (2 * (b2 * (s + 1)**2 + sz) * e[1]
+             + b1 * b3 * (s + 2) * (2 * s + 3) * e[2]
+             + 2 * b0 * b3**2 * (s + 2) * (s + 3) * e[3]
+             + b3**4 * (s + 2) * (s + 3) * (s + 4) * (s + 5) * e[5] / 2)
+    p = sympy.Symbol("p")
+    r_sub = r.subs({d[j]: p * b3**j * e[j] for j in range(6)})
+    assert sympy.expand(r_sub - p * b3 * r_eps) == 0
 
 
 def test_assemble_genus1():

@@ -1,0 +1,23 @@
+"""The committed developer tools run from a checkout."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_ab_inprocess_one_round():
+    # both sides are this checkout's src/, loaded under two package names
+    src = str(ROOT / "src")
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab_inprocess.py"), src, src,
+         "qsolver.build_q", "(1,)", "--rounds", "1"],
+        capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    header, row = run.stdout.splitlines()
+    assert header.split() == ["args", "base_ms", "new_ms", "base_iqr_ms",
+                              "ratio", "new_faster"]
+    fields = row.split()
+    assert fields[0] == "(1,)" and len(fields) == 6
+    assert fields[3] == "0.000" and fields[5] in ("0/1", "1/1")
