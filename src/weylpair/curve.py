@@ -64,10 +64,6 @@ class SpectralCurve(namedtuple("SpectralCurve", "g coeffs")):
         """F as a polynomial in z (and any unbound parameters)."""
         return self._f
 
-    def eval_params(self, params: dict) -> "SpectralCurve":
-        return SpectralCurve(
-            g=self.g, coeffs=tuple(c.eval(params) for c in self.coeffs))
-
     def to_json(self) -> dict:
         return {"g": self.g, "c": [c.to_json() for c in self.coeffs]}
 

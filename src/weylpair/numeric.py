@@ -6,19 +6,23 @@ P = Qxx^2 - 2 Qx Qxxx - 4F - 4V Qx^2 (primes in x, all at x0):
 
 - root distinctness is disc_z Q(x0, .) != 0;
 - potential recovery, V(x0) = (Qxx^2 - 2 Qx Qxxx - 4F) / (4 Qx^2) at every
-  root, is res_z(Q, Qx) != 0 and Q(x0, .) dividing P(x0, .);
+  root, is res_z(Q, Qx) != 0 and Q(x0, .) dividing P(x0, .).  For the F
+  of (*), F = rhs(*)/4, P = -Q (4(z - W)Q + 4V'Qx + 8V Qxx + 2Qxxxx) for
+  all x, so only an x-free F and res_z(Q, Qx) != 0 are decided;
 - the Krichever-Novikov pole coupling d0 = v0^2 + v0 d1 - v0' between the
   residues c0, c1 and regular parts d0, d1 of the reduction coefficients
   u0 = (-Qxx/2 + w)/Q - V and u1 = Qx/Q has the residual
   P(gamma) / (4 Qx(gamma)^2) at a pole gamma on either sheet (the w terms
-  cancel), so it is the same divisibility, once disc_z Q != 0 and
-  res_z(Q, F) != 0 make every pole simple and off the branch points.
+  cancel), so it is the same divisibility, tested for the given F, once
+  disc_z Q != 0 and res_z(Q, F) != 0 make every pole simple and off the
+  branch points.
 
 Both are the curve identity (*) reduced mod Q, which curve_identity
 proves for all x.  A vanishing discriminant raises MultipleRootError, a
 vanishing res_z(Q, Qx) or res_z(Q, F) DegenerateDerivativeError: the
 sample point must be re-drawn.  No root is ever approximated; the roots
-enter only through these polynomial statements.
+enter only through these polynomial statements.  A parameter left in Q,
+V or F raises ParamError; no check reads its params argument.
 """
 
 from __future__ import annotations
@@ -38,17 +42,6 @@ class DegenerateDerivativeError(RuntimeError):
     of the curve; the sample point must be re-drawn."""
 
 
-def _bind(qp: QPolynomial, params: dict | None) -> QPolynomial:
-    qp = qp.eval_params(params) if params else qp
-    require_bound(qp.q, qp.v)
-    return qp
-
-
-def _x_slices(qp: QPolynomial, x0: Rat) -> list[Poly]:
-    """Q, Qx, Qxx and Qxxx at x = x0, as polynomials in z."""
-    return [p.eval({"x": x0}) for p in _x_derivs(qp.q, 3)]
-
-
 def _vanishes_at_a_root(q: Poly, p: Poly) -> bool:
     """Whether p has a zero at some root of q: res_z(q, p) == 0.  For p
     constant in z the resultant is p^deg q."""
@@ -57,20 +50,14 @@ def _vanishes_at_a_root(q: Poly, p: Poly) -> bool:
     return resultant(q, p, "z").is_zero()
 
 
-def _coupling_divides(qp: QPolynomial, x0: Rat, f: Poly) -> bool:
-    """Whether Q(x0, .) divides P(x0, .); raises
-    DegenerateDerivativeError when Qx vanishes at a root."""
-    q, qx, qxx, qxxx = _x_slices(qp, x0)
-    if _vanishes_at_a_root(q, qx):
+def _x_slices(qp: QPolynomial, x0: Rat, n: int = 3) -> list[Poly]:
+    """Q and its first n x-derivatives at x = x0, as polynomials in z;
+    raises DegenerateDerivativeError when Qx vanishes at a root of Q."""
+    slices = [p.eval({"x": x0}) for p in _x_derivs(qp.q, n)]
+    if _vanishes_at_a_root(slices[0], slices[1]):
         raise DegenerateDerivativeError(
             f"dQ/dx vanishes at a root of Q(x0={x0}, z); resample x0")
-    v = qp.v.eval({"x": x0})
-    p = qxx * qxx - 2 * qx * qxxx - 4 * f - 4 * v * qx * qx
-    try:
-        p.exact_div(q)
-    except NotDivisibleError:
-        return False
-    return True
+    return slices
 
 
 def roots_z(qp: QPolynomial, params: dict | None, x0,
@@ -79,10 +66,10 @@ def roots_z(qp: QPolynomial, params: dict | None, x0,
 
     A vanishing disc_z Q(x0, .) would falsify the no-multiple-roots
     property of Q and raises MultipleRootError rather than resampling; a
-    linear slice has one simple root.  tol_root is not read (no root is
-    approximated); it stays because bench/replay.py passes it.
+    linear slice has one simple root.  params and tol_root are not read
+    (no root is approximated); bench/replay.py passes them.
     """
-    qp = _bind(qp, params)
+    require_bound(qp.q, qp.v)
     x0 = Rat(x0)
     q = qp.q.eval({"x": x0})
     if q.degree("z") > 1 and discriminant(q, "z").is_zero():
@@ -93,37 +80,46 @@ def roots_z(qp: QPolynomial, params: dict | None, x0,
 def verify_potential_recovery(qp: QPolynomial, params: dict | None, x0,
                               tol: float = 1e-8) -> dict:
     """V(x0) = (Qxx^2 - 2 Qx Qxxx - 4F) / (4 Qx^2) at every root of
-    Q(x0, .), with F the curve that (*) gives for qp; fails when (*) gives
-    no x-free F for this Q and V.  tol is not read (the check is exact);
-    it stays because bench/replay.py passes it.
+    Q(x0, .), with F the curve that (*) gives for qp: fails when (*) gives
+    no x-free F for this Q and V, and otherwise holds by the identity in
+    the module docstring.  params and tol are not read (the check is
+    exact); bench/replay.py passes them.
     """
-    qp = _bind(qp, params)
+    require_bound(qp.q, qp.v)
     x0 = Rat(x0)
     try:
-        f = extract_curve(qp).as_poly()
+        extract_curve(qp)
     except (XDependenceError, DegreeError):
         ok = False
     else:
-        ok = _coupling_divides(qp, x0, f)
+        _x_slices(qp, x0, 1)  # raises where Qx vanishes at a root
+        ok = True
     return {"name": "potential_recovery", "x0": str(x0), "pass": ok}
 
 
 def verify_krichever(qp: QPolynomial, curve: SpectralCurve,
                      params: dict | None, x0, tol: float = 1e-6) -> dict:
     """The coupling d0 = v0^2 + v0*d1 - v0' at every pole of Q(x0, .), on
-    both sheets of w^2 = F, with F from the given curve; simple_poles in
-    the report is the number of poles, g.  tol is not read (the check is
-    exact); it stays because bench/replay.py passes it.
+    both sheets of w^2 = F, with F from the given curve: Q(x0, .) divides
+    P(x0, .); simple_poles in the report is the number of poles, g.
+    params and tol are not read (the check is exact); bench/replay.py
+    passes them.
     """
-    qp = _bind(qp, params)
-    curve = curve.eval_params(params) if params else curve
+    f = curve.as_poly()
+    require_bound(qp.q, qp.v, f)
     x0 = Rat(x0)
     q = roots_z(qp, None, x0)
-    f = curve.as_poly()
     if _vanishes_at_a_root(q, f):
         raise DegenerateDerivativeError(
             f"a root of Q(x0={x0}, z) is a branch point of the curve; "
             f"resample x0")
+    q, qx, qxx, qxxx = _x_slices(qp, x0)
+    v = qp.v.eval({"x": x0})
+    try:
+        (qxx * qxx - 2 * qx * qxxx - 4 * f - 4 * v * qx * qx).exact_div(q)
+    except NotDivisibleError:
+        ok = False
+    else:
+        ok = True
     return {"name": "krichever_relation", "x0": str(x0),
-            "simple_poles": q.degree("z"),
-            "pass": _coupling_divides(qp, x0, f)}
+            "simple_poles": q.degree("z"), "pass": ok}

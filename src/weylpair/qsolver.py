@@ -83,20 +83,6 @@ class QPolynomial(namedtuple("QPolynomial", "g deltas q v w alphas")):
         """[z^j]Q for j = 0..g, as polynomials in x and parameters."""
         return self.q.coeffs_in("z")
 
-    def eval_params(self, params: dict) -> "QPolynomial":
-        """Bind (more) parameters to rational values."""
-        alphas = tuple(a.eval(params) for a in self.alphas)
-        if alphas[3].is_zero():
-            raise ParamError("a3 must be nonzero")
-        return QPolynomial(
-            g=self.g,
-            deltas=tuple(d.eval(params) for d in self.deltas),
-            q=self.q.eval(params),
-            v=self.v.eval(params),
-            w=self.w.eval(params),
-            alphas=alphas,
-        )
-
 
 def build_deltas(g: int, params: dict | None = None) -> list[Poly]:
     """Coefficient ladder of Q = sum_s delta_s(z) x^s, from top down.

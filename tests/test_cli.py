@@ -455,6 +455,10 @@ VERIFY_REFS = [
      "48015b183179ee5230ec05a0ff7de2fcbbb8489d16e6348df264317a29200ce8"),
     (T3 + ["--inject-fault", "companion"], 1,
      "e538a4356a5e96eaa6acb4e928e34fd38b7d6dd8fc9537bccaab76c215923fd4"),
+    # seed 10105: Qx vanishes at a root of Q(1/2, z), raised by the
+    # potential-recovery check itself
+    (["--genus", "2", "--alpha", "a0=-5/1,a1=1/1,a2=-9/4,a3=5/3"], 1,
+     "dc10514a29fd92601987a59a1c7ab539226bbbddeb44919b77861a47c5eac138"),
 ]
 
 

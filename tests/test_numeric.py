@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from weylpair.curve import SpectralCurve
+from weylpair.curve import ParamError, SpectralCurve
 from weylpair.numeric import (DegenerateDerivativeError, MultipleRootError,
                               _x_slices, roots_z, verify_krichever,
                               verify_potential_recovery)
@@ -89,9 +89,25 @@ def test_potential_recovery():
 
 
 def test_potential_recovery_symbolic_binding():
+    # the checks bind nothing: a symbolic Q raises ParamError in each, with
+    # or without a params argument, which none of them reads
     qp = build_q(2)
-    rep = verify_potential_recovery(qp, NUMERIC, 1)
-    assert rep["pass"]
+    curve = extract_curve(build_q(2, NUMERIC))
+    for params in (None, NUMERIC):
+        with pytest.raises(ParamError, match="left unbound"):
+            roots_z(qp, params, 1)
+        with pytest.raises(ParamError, match="left unbound"):
+            verify_potential_recovery(qp, params, 1)
+        with pytest.raises(ParamError, match="left unbound"):
+            verify_krichever(qp, curve, params, 1)
+
+
+def test_krichever_unbound_curve_fails_closed():
+    # a numeric Q with the symbolic curve of build_q(2): the resultants and
+    # the division would run over Q[a0..a3] and read as a plain FAIL
+    qp = build_q(2, NUMERIC)
+    with pytest.raises(ParamError, match="left unbound"):
+        verify_krichever(qp, extract_curve(build_q(2)), None, 1)
 
 
 def test_krichever_relation_genus1():

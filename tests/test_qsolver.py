@@ -337,6 +337,17 @@ def test_companion_identity_is_pure_algebra(rng):
         v = random_poly(rng, vars=("x",), max_exp=3, n_terms=3)
         w = random_poly(rng, vars=("x",), max_exp=2, n_terms=3)
         assert companion_identity_gap(q, v, w).is_zero()
+        # and (*) reduced mod Q: with P = Qxx^2 - 2QxQxxx - 4F - 4VQx^2
+        # for an x-free F, P + Q*(...) = rhs(*) - 4F, so P = -Q*(...)
+        # exactly when F = rhs(*)/4
+        f = random_poly(rng, vars=("z",), max_exp=4, n_terms=3)
+        d = [q]
+        for _ in range(4):
+            d.append(d[-1].diff("x"))
+        p = d[2] ** 2 - 2 * d[1] * d[3] - 4 * f - 4 * v * d[1] ** 2
+        cofactor = (4 * (z - w) * q + 4 * v.diff("x") * d[1] + 8 * v * d[2]
+                    + 2 * d[4])
+        assert p + q * cofactor == curve_rhs(q, v, w) - 4 * f
 
 
 def test_trace_identity():
@@ -355,7 +366,10 @@ def test_numeric_equals_symbolic_specialization(rng):
     for g in (1, 2, 3):
         params = random_param_tuple(rng)
         direct = build_q(g, params)
-        specialized = build_q(g).eval_params(params)
-        assert direct.q == specialized.q
-        assert direct.v == specialized.v
-        assert direct.w == specialized.w
+        symbolic = build_q(g)
+        assert direct.q == symbolic.q.eval(params)
+        assert direct.v == symbolic.v.eval(params)
+        assert direct.w == symbolic.w.eval(params)
+        assert len(direct.deltas) == len(symbolic.deltas) == g + 1
+        for d_num, d_sym in zip(direct.deltas, symbolic.deltas):
+            assert d_num == d_sym.eval(params)
