@@ -29,20 +29,17 @@ import time
 from _json import encode_basestring_ascii
 
 from .curve import PARAM_NAMES, ParamError, SpectralCurve, is_nonsingular
-from .curvefun import (expand_at_infinity, expansion_report,
-                       reduction_coefficients, reduction_residuals)
-from .numeric import (DegenerateDerivativeError, MultipleRootError, roots_z,
-                      verify_krichever, verify_potential_recovery)
 from .pairs import (OperatorPair, build_pair, match_reference_examples,
                     verify_commutation, verify_square_identity)
 from .weyl import DiffOp, is_self_adjoint
 from .poly import NVARS, NotDivisibleError, Poly, Rat
-from .qsolver import (DegreeError, XDependenceError,
+from .qsolver import (DegenerateDerivativeError, DegreeError,
+                      MultipleRootError, XDependenceError,
                       curve_identity_residual, q_ode_residual,
                       trace_identity_residual)
-# imported after the package modules: a launch without cached bytecode
-# compiles them, and compiling them with argparse loaded measured about
-# 0.1 MB more peak RSS
+# imported after the package modules: compiling them (no cached bytecode)
+# with argparse loaded read 0.15-0.25 MB more peak RSS.  verify's own
+# layers compile after it, in _checks_for, at 0.11-0.13 MB more for verify
 import argparse
 
 INTERNAL_ERRORS = (NotDivisibleError, XDependenceError, DegreeError,
@@ -213,6 +210,10 @@ def cmd_construct(args) -> int:
 
 
 def _checks_for(args, params: dict) -> list[dict]:
+    from .curvefun import (expand_at_infinity, expansion_report,
+                           reduction_coefficients, reduction_residuals)
+    from .numeric import roots_z, verify_krichever, verify_potential_recovery
+
     g = args.genus
     # expansion_report reads u1 up to k^(2g+5)
     order = 2 * g + 8 if args.series_order is None else args.series_order

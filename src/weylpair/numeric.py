@@ -29,17 +29,9 @@ from __future__ import annotations
 
 from .curve import SpectralCurve, require_bound
 from .poly import NotDivisibleError, Poly, Rat, discriminant, resultant
-from .qsolver import (DegreeError, QPolynomial, XDependenceError, _x_derivs,
-                      extract_curve)
-
-
-class MultipleRootError(RuntimeError):
-    """Two roots of Q(x0, z) coincide: disc_z Q(x0, .) vanishes."""
-
-
-class DegenerateDerivativeError(RuntimeError):
-    """dQ/dx vanishes at a root of Q(x0, z), or a root is a branch point
-    of the curve; the sample point must be re-drawn."""
+from .qsolver import (DegenerateDerivativeError, DegreeError,
+                      MultipleRootError, QPolynomial, XDependenceError,
+                      _x_derivs, extract_curve)
 
 
 def _vanishes_at_a_root(q: Poly, p: Poly) -> bool:

@@ -49,8 +49,8 @@ from .curve import PARAM_NAMES, ParamError
 from .poly import Poly, Rat
 from .qsolver import (QPolynomial, _x_derivs, build_q, extract_curve,
                       potentials, resolve_alphas)
-from .weyl import (DiffOp, anticommutator, commutator, op_mul, poly_of_op,
-                   x0_of_product)
+from .weyl import (DiffOp, anticommutator, commutator, op_mul,
+                   poly_of_products, x0_of_product)
 
 
 class OperatorPair(namedtuple("OperatorPair", "g l4 m curve q")):
@@ -85,8 +85,8 @@ def build_companion(qp: QPolynomial, l4: DiffOp) -> DiffOp:
     On a common eigenfunction (L psi = z psi, psi'' given by the
     second-order reduction) the operator acts as multiplication by w.  The
     blocks in q_j, q_j', q_j'' multiply on the LEFT of the powers of L;
-    the opposite order breaks commutation.  poly_of_op sums them by
-    Horner's rule, g products with L.
+    the opposite order breaks commutation.  Horner's rule sums them by
+    g steps R <- R∘H∘H + R∘W + B_j, l4 = H∘H + W with H = D^2 + V.
     """
     qcs = qp.q_z_coeffs()
     if not (qcs and qcs[-1] == Poly.one()):
@@ -97,7 +97,8 @@ def build_companion(qp: QPolynomial, l4: DiffOp) -> DiffOp:
     for qj in qcs:
         qjx = qj.diff("x")
         blocks.append(DiffOp([qj * v + half * qjx.diff("x"), -qjx, qj]))
-    return poly_of_op(blocks, l4)
+    h = DiffOp([v, Poly.zero(), Poly.one()])
+    return poly_of_products(blocks, l4, [[h, h], [DiffOp([qp.w])]])
 
 
 def build_pair(g: int, params: dict | None = None) -> OperatorPair:

@@ -34,6 +34,14 @@ class DegreeError(ValueError):
     """The extracted spectral polynomial has the wrong shape in z."""
 
 
+class MultipleRootError(RuntimeError):
+    """Two roots of Q(x0, z) coincide: disc_z Q(x0, .) vanishes."""
+
+
+class DegenerateDerivativeError(RuntimeError):
+    """A root of Q(x0, z) is a zero of dQ/dx or a branch point: resample."""
+
+
 def resolve_alphas(params: dict | None) -> tuple[Poly, Poly, Poly, Poly]:
     """Turn a parameter binding into four coefficient polynomials.
 

@@ -256,19 +256,30 @@ def _rows(cols: list[dict], kn, val) -> list[list[tuple[int, int]]]:
     return rows
 
 
-def _horner(blocks: list[list[dict]], rows, no: int, do: int, val) -> list:
+def _compose(s: list, rows, acc: list, f: int = 1) -> list:
+    """acc, grown to fit, plus f * s∘op, op given by its rows."""
+    acc += [0] * (len(s) + rows[0][-1][0] - len(acc))
+    for k, row in enumerate(rows):
+        for i in range(k, len(s)):
+            c = f * math.comb(i, k) * s[i]
+            if c:
+                for j, v in row:
+                    acc[i + j - k] += c * v
+    return acc
+
+
+def _horner(blocks: list[list[dict]], step, do: int, val) -> list:
     """Horner's rule for sum_j do^(g-j) blocks[j] op^j on the values val
-    gives (packed ints, or norms bounding them), no = ord(op)."""
+    gives, op = sum f*A∘B∘... over the (f, [rows of A, B, ...]) in step."""
     s: list = []
     for e, block in enumerate(reversed(blocks)):
         if s:
-            acc = [0] * (len(s) + no)
-            for k, row in enumerate(rows):
-                for i in range(k, len(s)):
-                    f = math.comb(i, k) * s[i]
-                    if f:
-                        for j, v in row:
-                            acc[i + j - k] += f * v
+            acc: list = []
+            for f, chain in step:
+                t = s
+                for rows in chain[:-1]:
+                    t = _compose(t, rows, [])
+                _compose(t, chain[-1], acc, f)
             s = acc
         s += [0] * (len(block) - len(s))
         for o, t in enumerate(block):
@@ -278,20 +289,28 @@ def _horner(blocks: list[list[dict]], rows, no: int, do: int, val) -> list:
 
 
 def _op_mul_kronecker(blocks: list[list[tuple[dict, int]]],
-                      ox: list[tuple[dict, int]], kn) -> list[Poly]:
+                      ox: list[tuple[dict, int]], kn,
+                      chains=None) -> list[Poly]:
     """sum_j blocks[j] op^j for x-only operands as _x_nums gives them,
-    reading op^(k) for k < kn; op_mul explains the packing."""
+    reading op^(k) for k < kn; op_mul explains the packing.  Steps apply
+    op, or the products in chains that sum to op, each over the product
+    q of its factors' denominators and taken do/q times, do = lcm(q)."""
     dc = math.lcm(*(d for b in blocks for _, d in b))
     ci = [[_scaled(t, dc // d) for t, d in b] for b in blocks]
-    do = math.lcm(*(d for _, d in ox))
+    chains = [[(a, math.lcm(*(d for _, d in a))) for a in c]
+              for c in chains or [[ox]]]
+    dens = [math.prod(d for _, d in c) for c in chains]
+    do = math.lcm(*dens)
     oi = [_scaled(t, do // d) for t, d in ox]
     fold = max if len(blocks) == 2 else sum  # |.|_inf suffices for 1 step
     rows = _rows(oi, kn, lambda t: fold(map(abs, t.values())))
-    bound = max(_horner(ci, rows, len(oi) - 1, do,
+    bound = max(_horner(ci, [(1, [rows])], do,
                         lambda t: sum(map(abs, t.values()))), default=0)
     wb = (bound.bit_length() + 8) // 8
-    acc = _horner(ci, _rows(oi, kn, lambda t: _pack(t, 8 * wb)), len(oi) - 1,
-                  do, lambda t: _pack(t, 8 * wb))
+    pack = lambda t: _pack(t, 8 * wb)
+    step = [(do // q, [_rows([_scaled(t, d // dt) for t, dt in a], kn, pack)
+                       for a, d in c]) for q, c in zip(dens, chains)]
+    acc = _horner(ci, step, do, pack)
     # a nonzero digit d makes |total| >= 2^(8*wb*d - 1), so d < n
     n = max(map(int.bit_length, acc), default=0) // (8 * wb) + 1
     half = 1 << (8 * wb - 1)
@@ -353,15 +372,24 @@ def poly_of_op(c: list[Poly | DiffOp], op: DiffOp) -> DiffOp:
     through the steps, |(R∘op)_o|_1 <= sum C(i,k) |r_i|_1 |op_j^(k)|_1
     plus |c_j|_1, scaled alike, bound them, and w is taken from that.
     """
+    return poly_of_products(c, op, [[op]])
+
+
+def poly_of_products(c: list[Poly | DiffOp], op: DiffOp,
+                     products: list[list[DiffOp]]) -> DiffOp:
+    """poly_of_op(c, op) for op = sum A∘B∘... over the lists of nonzero
+    factors [A, B, ...] in products.  Packed steps apply the factors (fewer
+    multiplies) and op bounds the slots; with parameters, steps are R∘op."""
     blocks = [cj if isinstance(cj, DiffOp) else DiffOp([cj]) for cj in c]
     ox = _x_nums(op)
     cx = [_x_nums(b) for b in blocks] if ox else [None]
-    if None in cx:
+    px = [[_x_nums(a) for a in p] for p in products]
+    if None in cx or any(None in p for p in px):
         result = DiffOp.zero()
         for b in reversed(blocks):
             result = op_mul(result, op) + b
         return result
-    return DiffOp(_op_mul_kronecker(cx, ox, math.inf))
+    return DiffOp(_op_mul_kronecker(cx, ox, math.inf, px))
 
 
 def apply_to(op: DiffOp, f: Poly) -> Poly:

@@ -1,7 +1,8 @@
 """What a fresh `weylpair` process pays before any math: importing the
 package loads none of its modules, importing the CLI loads neither
-dataclasses and inspect nor the json package, and --help works, which
-the benchmark's launch check relies on."""
+dataclasses and inspect nor the json package, only verify loads its own
+layers (curvefun, series, numeric), and --help works, which the
+benchmark's launch check relies on."""
 
 import os
 import subprocess
@@ -41,3 +42,29 @@ def test_help_exits_zero(argv):
     proc = python("-m", "weylpair.cli", *argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage")
+
+
+VERIFY_LAYERS = {"weylpair.curvefun", "weylpair.series", "weylpair.numeric"}
+
+
+def loaded_verify_layers(*argv) -> set:
+    """The verify-only modules a `weylpair` launch imports, read from
+    -X importtime, which names every module a process imports."""
+    proc = python("-X", "importtime", "-m", "weylpair.cli", *argv)
+    assert proc.returncode == 0, proc.stderr
+    return {line.rsplit("|", 1)[-1].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:")} & VERIFY_LAYERS
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--genus", "2", "--alpha", "a0=1,a1=0,a2=0,a3=1"],
+    ["examples"], ["--help"]], ids=["construct", "examples", "help"])
+def test_only_verify_loads_its_layers(argv):
+    assert loaded_verify_layers(*argv) == set()
+
+
+def test_verify_loads_its_layers():
+    assert loaded_verify_layers(
+        "verify", "--genus", "2",
+        "--alpha", "a0=1,a1=0,a2=0,a3=1") == VERIFY_LAYERS

@@ -10,7 +10,8 @@ from weylpair import pairs, weyl
 from weylpair.pairs import build_pair
 from weylpair.poly import Poly, Rat
 from weylpair.weyl import (DiffOp, adjoint, anticommutator, apply_to,
-                           commutator, is_self_adjoint, op_mul, poly_of_op)
+                           commutator, is_self_adjoint, op_mul, poly_of_op,
+                           poly_of_products)
 
 from conftest import random_poly, x_poly
 
@@ -495,9 +496,9 @@ def spy_kernel(monkeypatch) -> list:
     calls = []
     kernel = weyl._op_mul_kronecker
 
-    def spy(blocks, ox, kn):
+    def spy(blocks, *rest):
         calls.append(blocks)
-        return kernel(blocks, ox, kn)
+        return kernel(blocks, *rest)
 
     monkeypatch.setattr(weyl, "_op_mul_kronecker", spy)
     return calls
@@ -543,6 +544,15 @@ def test_packed_horner_slot_width_at_its_bound():
     # the largest digit a w-bit slot holds and T = 2^(w-1) needs the next
     # width, so a width one byte short, or a bound that drops a step or
     # a block, misreads the sum.
+    for t, blocks, p in slot_bound_cases():
+        got = poly_of_op(blocks, D)
+        assert got == stepwise_poly_of_op(blocks, D), t
+        assert got.coeff(2) == Rat(t) * x**3
+        assert got.coeff(0) == p.coeff(0)
+
+
+def slot_bound_cases():
+    """(T, blocks, P) for test_packed_horner_slot_width_at_its_bound."""
     x3 = x**3
     for nbytes in range(1, 6):
         for top in ((1 << (8 * nbytes - 1)) - 1, 1 << (8 * nbytes - 1)):
@@ -550,14 +560,10 @@ def test_packed_horner_slot_width_at_its_bound():
                 t = sign * top
                 parts = (t // 3, t // 5, t - t // 3 - t // 5)
                 p = DiffOp([Rat(t // 2) - Rat(t - t // 2) * x**2])
-                blocks = [DiffOp([Poly.zero(), Poly.zero(),
+                yield t, [DiffOp([Poly.zero(), Poly.zero(),
                                   Rat(parts[0]) * x3]) + p,
                           DiffOp([Poly.zero(), Rat(parts[1]) * x3]),
-                          Rat(parts[2]) * x3]
-                got = poly_of_op(blocks, D)
-                assert got == stepwise_poly_of_op(blocks, D), t
-                assert got.coeff(2) == Rat(t) * x3
-                assert got.coeff(0) == p.coeff(0)
+                          Rat(parts[2]) * x3], p
 
 
 def test_parameter_operands_skip_packed_horner(monkeypatch):
@@ -593,3 +599,98 @@ def test_build_companion_decodes_m_once(monkeypatch):
     m = pairs.build_companion(pair.q, pair.l4)
     assert m == pair.m
     assert len(made) == m.order() + 1 == 35
+
+
+# -- Horner steps by a sum of operator products ------------------------------
+
+def factored_quartic(v: Poly, w: Poly) -> tuple[DiffOp, list]:
+    """L = H∘H + W with H = D^2 + v, formed by op_mul, and the products
+    build_companion steps by."""
+    h = DiffOp([v, Poly.zero(), Poly.one()])
+    return op_mul(h, h) + DiffOp([w]), [[h, h], [DiffOp([w])]]
+
+
+def spy_chains(monkeypatch) -> list:
+    """Record the products every kernel call steps by (None: op itself)."""
+    calls = []
+    kernel = weyl._op_mul_kronecker
+
+    def spy(blocks, ox, kn, chains=None):
+        calls.append(chains)
+        return kernel(blocks, ox, kn, chains)
+
+    monkeypatch.setattr(weyl, "_op_mul_kronecker", spy)
+    return calls
+
+
+def test_factored_step_matches_stepwise_random(monkeypatch):
+    # random V and W: dense, with den(W) not dividing den(V)^2, with zero
+    # coefficients in V, V = 0, and denominators that cancel in L (its
+    # lcm 1 against lcm(den(V)^2, den(W)) = 4); each sum takes one kernel
+    # call stepping by both products
+    calls = spy_chains(monkeypatch)
+    rng = random.Random(24)
+
+    def rand(dens=(1, 2, 3, 8, 15)):
+        return Rat(rng.randint(-(1 << 30), 1 << 30), rng.choice(dens))
+
+    cases = [(x_poly({d: rand() for d in range(4)}),
+              x_poly({d: rand() for d in range(2)})),
+             (x_poly({d: rand((2, 4)) for d in range(4)}),
+              x_poly({1: rand((3, 9)), 0: rand((5,))})),
+             (x_poly({3: rand(), 0: rand()}), x_poly({1: rand()})),
+             (x_poly({5: rand(), 2: rand()}),
+              x_poly({d: rand() for d in range(3)})),
+             (Poly.zero(), x_poly({1: rand(), 0: rand()})),
+             (Rat(1, 2) * x, 1 - Rat(1, 4) * x**2)]
+    for trial, (v, w) in enumerate(cases):
+        l4, products = factored_quartic(v, w)
+        blocks = [random_x_op(rng, 2, (3, 40, 90)[trial % 3], zero_frac=0.3)
+                  for _ in range(rng.randint(2, 6))] + [Poly.one()]
+        blocks[1] = x_poly({2: rand()})
+        calls.clear()
+        got = poly_of_products(blocks, l4, products)
+        assert calls == [calls[0]] and len(calls[0]) == 2, trial
+        assert got == stepwise_poly_of_op(blocks, l4), trial
+        assert got == poly_of_op(blocks, l4), trial
+
+
+def test_factored_step_with_parameters_steps_by_op(monkeypatch):
+    # a parameter in V makes every step R∘L on the term loop: the kernel
+    # never sees the products
+    calls = spy_chains(monkeypatch)
+    rng = random.Random(25)
+    l4, products = factored_quartic(x**3 + a0, 7 * x)
+    blocks = [random_x_op(rng, 2, 20) for _ in range(3)] + [Poly.one()]
+    assert (poly_of_products(blocks, l4, products)
+            == stepwise_poly_of_op(blocks, l4))
+    assert all(c is None for c in calls)
+
+
+@pytest.mark.parametrize("products", [
+    [[DiffOp([Poly.zero(), Poly.rat(2)]), DiffOp([Rat(1, 2)])]],
+    [[D, DiffOp([Poly.rat(2)])], [-D]],
+    [[D, X, D], [-X, D, D]]], ids=["2D.half", "D.2-D", "DxD-xDD"])
+def test_factored_step_slot_width_at_its_bound(products):
+    # op = D as a sum of products: the slot width comes from D, as for
+    # poly_of_op, while the steps form 2R∘D, R∘D twice or products of
+    # order 3, whose digits the slots of the sum need not hold; the last
+    # sum is -D if a product is applied right to left
+    for t, blocks, p in slot_bound_cases():
+        got = poly_of_products(blocks, D, products)
+        assert got == stepwise_poly_of_op(blocks, D), t
+        assert got.coeff(2) == Rat(t) * x**3
+        assert got.coeff(0) == p.coeff(0)
+
+
+def test_factored_step_scales_op_norms():
+    # D stepped as 2D∘(1/2) packs over 2 per step, so a top block T x^3
+    # reaches the sum as 4T x^3 D^2 and D's norms must be scaled by 2:
+    # unscaled, T = 2^(8n-3) gets a width one byte short
+    products = [[DiffOp([Poly.zero(), Poly.rat(2)]), DiffOp([Rat(1, 2)])]]
+    for nbytes in range(1, 6):
+        for top in ((1 << (8 * nbytes - 3)) - 1, 1 << (8 * nbytes - 3)):
+            for sign in (1, -1):
+                blocks = [Poly.zero(), Poly.zero(), Rat(sign * top) * x**3]
+                assert (poly_of_products(blocks, D, products)
+                        == DiffOp(blocks)), sign * top
