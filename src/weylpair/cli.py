@@ -30,7 +30,8 @@ from _json import encode_basestring_ascii
 
 from .curve import PARAM_NAMES, ParamError, SpectralCurve, is_nonsingular
 from .pairs import (OperatorPair, build_pair, match_reference_examples,
-                    verify_commutation, verify_square_identity)
+                    quartic_from_potentials, verify_commutation,
+                    verify_square_identity)
 from .weyl import DiffOp, is_self_adjoint
 from .poly import NVARS, NotDivisibleError, Poly, Rat
 from .qsolver import (DegenerateDerivativeError, DegreeError,
@@ -38,8 +39,8 @@ from .qsolver import (DegenerateDerivativeError, DegreeError,
                       curve_identity_residual, q_ode_residual,
                       trace_identity_residual)
 # imported after the package modules: compiling them (no cached bytecode)
-# with argparse loaded read 0.15-0.25 MB more peak RSS.  verify's own
-# layers compile after it, in _checks_for, at 0.11-0.13 MB more for verify
+# with argparse loaded read 0.15-0.25 MB more peak RSS.  numeric verify
+# compiles its one own layer, weylpair.numeric, after it, in _checks_for
 import argparse
 
 INTERNAL_ERRORS = (NotDivisibleError, XDependenceError, DegreeError,
@@ -72,10 +73,6 @@ def _parse_alpha(text: str) -> dict:
     return params
 
 
-def _is_numeric(params: dict) -> bool:
-    return all(name in params for name in PARAM_NAMES)
-
-
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -105,8 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run the verification suite")
     common(ver)
     ver.add_argument("--series-order", type=int, default=None,
-                     help="expansion order at infinity, at least 2g+6 "
-                          "(default 2g+8)")
+                     help="order of bench/replay.py's oracle expansions, "
+                          "at least 2g+6 (default 2g+8)")
     ver.add_argument("--samples", type=_positive_int, default=3,
                      help="number of numeric sample points")
     # every check is exact; bench/replay.py still passes these three
@@ -210,17 +207,12 @@ def cmd_construct(args) -> int:
 
 
 def _checks_for(args, params: dict) -> list[dict]:
-    from .curvefun import (expand_at_infinity, expansion_report,
-                           reduction_coefficients, reduction_residuals)
-    from .numeric import roots_z, verify_krichever, verify_potential_recovery
-
     g = args.genus
-    # expansion_report reads u1 up to k^(2g+5)
-    order = 2 * g + 8 if args.series_order is None else args.series_order
-    if order < 2 * g + 6:
+    # the oracle expansions of bench/replay.py read u1 up to k^(2g+5)
+    order = args.series_order
+    if order is not None and order < 2 * g + 6:
         raise ParamError(f"--series-order must be at least 2g+6 = "
                          f"{2 * g + 6} at genus {g}, got {order}")
-    numeric = _is_numeric(params)
     pair = build_pair(g, params)
     qp, curve = pair.q, pair.curve
     if args.inject_fault == "q":
@@ -242,21 +234,26 @@ def _checks_for(args, params: dict) -> list[dict]:
     # q_ode and derived_ode name one residual, d/dx(*) / (2Q)
     ode_ok = q_ode_residual(qp).is_zero()
     add("q_ode", ode_ok, "fifth-order linear ODE residual of Q")
-    add("curve_identity", curve_identity_residual(qp, curve).is_zero(),
+    curve_ok = curve_identity_residual(qp, curve).is_zero()
+    add("curve_identity", curve_ok,
         "4F equals the quadratic expression in Q, V, W")
     add("derived_ode", ode_ok, "x-derivative companion identity")
-    add("trace_identity", trace_identity_residual(qp, curve).is_zero(),
-        "W = 2[z^(g-1)]Q - c_2g")
-    u0, u1 = reduction_coefficients(qp, curve)
-    r0, r1 = reduction_residuals(u0, u1, pair.l4)
-    add("reduction_psi", r0.is_zero(), "psi-coefficient equals z")
-    add("reduction_dpsi", r1.is_zero(), "psi'-coefficient vanishes")
-    s0 = expand_at_infinity(u0, order)
-    s1 = expand_at_infinity(u1, order)
-    series = expansion_report(s0, s1, qp, curve)
+    trace_ok = trace_identity_residual(qp, curve).is_zero()
+    add("trace_identity", trace_ok, "W = 2[z^(g-1)]Q - c_2g")
+    # L = (D^2+V)^2+W reduces by psi'' = u1 psi' + u0 psi, u1 = Q'/Q and
+    # u0 = (-Q''/2 + w)/Q - V, to R0 + R1 D.  With C = 4F - rhs(*), for
+    # every Q (arXiv:1107.3356 §2; curvefun is the oracle):
+    #     R0 - z = C / (4 Q^2),   R1 = 0,
+    #     [k^1]u0 = -W/2  <=>  trace_identity,  for Q monic of z-degree g,
+    # and such a Q makes u1 an even O(k^2) series in k = 1/sqrt(z) and u0 =
+    # 1/k - V + O(k).  The series entries fail closed on any other Q.
+    normal = pair.l4 == quartic_from_potentials(qp.v, qp.w)
+    monic = qp.q.degree("z") == g and qp.q.coeff_in("z", g) == 1
+    add("reduction_psi", normal and curve_ok, "psi-coefficient equals z")
+    add("reduction_dpsi", normal, "psi'-coefficient vanishes")
     for key in ("leading_term", "potential_v", "potential_w",
                 "self_adjoint_b1", "odd_coeffs_vanish"):
-        add(f"series_{key}", series[key])
+        add(f"series_{key}", monic and (trace_ok or key != "potential_w"))
     add("self_adjoint_l4", is_self_adjoint(pair.l4))
     add("self_adjoint_m", is_self_adjoint(m))
     patched = OperatorPair(g=g, l4=pair.l4, m=m, curve=curve, q=qp)
@@ -265,12 +262,13 @@ def _checks_for(args, params: dict) -> list[dict]:
     add("square_identity", verify_square_identity(patched).is_zero(),
         "M^2 = F(L4)")
 
-    if numeric:
+    if all(name in params for name in PARAM_NAMES):
+        from .numeric import (roots_z, verify_krichever,
+                              verify_potential_recovery)
         add("curve_nonsingular", is_nonsingular(curve, params),
             "disc_z F != 0 at the bound parameters")
         sample_points = [Rat(2 * i + 1, 2) for i in range(args.samples)]
-        recovery_ok = True
-        krichever_ok = True
+        recovery_ok = krichever_ok = True
         # messages from roots_z and from the two root-level checks; both
         # fail on either, as they do not run where roots_z raises
         root_errors = []

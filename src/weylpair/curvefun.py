@@ -13,7 +13,8 @@ The module builds the coefficients u0, u1 of the second-order reduction
 
 satisfied by common eigenfunctions, verifies that the quartic operator
 acts on such psi as multiplication by z, and expands curve functions at
-the point at infinity in the local parameter k = 1/sqrt(z).
+the point at infinity in the local parameter k = 1/sqrt(z).  It is the
+oracle of the entries `weylpair verify` reads off the curve identity.
 """
 
 from __future__ import annotations

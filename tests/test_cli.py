@@ -12,6 +12,9 @@ import pytest
 from weylpair import cli, pairs
 from weylpair.cli import main
 from weylpair.curve import SpectralCurve
+from weylpair.curvefun import (expand_at_infinity, expansion_report,
+                               reduction_coefficients, reduction_residuals)
+from weylpair.pairs import quartic_from_potentials
 from weylpair.poly import Poly, Rat
 from weylpair.qsolver import XDependenceError
 from weylpair.weyl import DiffOp
@@ -566,3 +569,83 @@ def test_emit_matches_json_dumps(monkeypatch, capsys):
     for bad in (1.5, [0.0], {"a": 2.5}, {1: "a"}, {"a": {2: "b"}}):
         with pytest.raises(TypeError):
             cli._dumps(bad)
+
+
+SERIES_KEYS = ("leading_term", "potential_v", "potential_w",
+               "self_adjoint_b1", "odd_coeffs_vanish")
+
+
+def oracle_curve_entries(qp, curve, l4) -> dict:
+    """The reduction and expansion entries computed by curvefun itself;
+    None for the series entries where 1/Q has no expansion at infinity."""
+    u0, u1 = reduction_coefficients(qp, curve)
+    r0, r1 = reduction_residuals(u0, u1, l4)
+    out = {"reduction_psi": r0.is_zero(), "reduction_dpsi": r1.is_zero()}
+    order = 2 * qp.g + 8
+    try:
+        report = expansion_report(expand_at_infinity(u0, order),
+                                  expand_at_infinity(u1, order), qp, curve)
+    except ValueError:
+        report = dict.fromkeys(SERIES_KEYS)
+    out.update((f"series_{key}", report[key]) for key in SERIES_KEYS)
+    return out
+
+
+def corrupted_pairs(pair):
+    """The pair, five corruptions of Q and F, an L built with V + 1, and
+    two Q that are not monic of z-degree g, by name."""
+    g, qp, curve = pair.g, pair.q, pair.curve
+    x, z = Poly.var("x"), Poly.var("z")
+
+    def bump(i):
+        coeffs = list(curve.coeffs)
+        coeffs[i] = coeffs[i] + 1
+        return pair._replace(curve=SpectralCurve(g=g, coeffs=tuple(coeffs)))
+
+    def with_q(q):
+        return pair._replace(q=qp._replace(q=q))
+
+    return {"pair": pair, "Q+x": with_q(qp.q + x),
+            "Q+xz": with_q(qp.q + x * z),
+            "Q+z^(g-1)": with_q(qp.q + z ** (g - 1)),
+            "F+z^2g": bump(2 * g), "c0+1": bump(0),
+            "L(V+1)": pair._replace(
+                l4=quartic_from_potentials(qp.v + 1, qp.w)),
+            "Q+xz^g": with_q(qp.q + x * z ** g),
+            "Q+z^(g+1)": with_q(qp.q + z ** (g + 1))}
+
+
+@pytest.mark.parametrize("g,alpha", [
+    (1, "a0=2,a1=3/4,a2=3,a3=1"), (2, "a0=2,a1=3/4,a2=3,a3=1"),
+    (3, "a0=2,a1=3/4,a2=3,a3=1"), (4, "a0=2,a1=3/4,a2=3,a3=1"),
+    (1, ""), (2, "")], ids=["numeric-g1", "numeric-g2", "numeric-g3",
+                            "numeric-g4", "symbolic-g1", "symbolic-g2"])
+def test_curve_entries_match_curvefun_oracle(g, alpha, monkeypatch):
+    # verify reads the reduction and expansion entries off the curve and
+    # trace certificates; the reduction and the expansions at infinity
+    # themselves must give the same verdicts
+    argv = ["verify", "--genus", str(g), "--samples", "1"]
+    args = cli.build_parser().parse_args(argv
+                                         + ["--alpha", alpha] * bool(alpha))
+    params = cli._parse_alpha(alpha)
+    for name, pair in corrupted_pairs(pairs.build_pair(g, params)).items():
+        monkeypatch.setattr(cli, "build_pair", lambda g, params: pair)
+        derived = {c["name"]: c["pass"]
+                   for c in cli._checks_for(args, params)}
+        oracle = oracle_curve_entries(pair.q, pair.curve, pair.l4)
+        q = pair.q.q
+        shaped = q.degree("z") == g and q.coeff_in("z", g) == 1
+        # the oracle expands 1/Q wherever Q is monic in z
+        assert (oracle["series_leading_term"] is None) is (
+            q.coeff_in("z", q.degree("z")) != 1), name
+        for key, verdict in oracle.items():
+            if shaped or key.startswith("reduction_"):
+                assert derived[key] is verdict, (name, key)
+            else:
+                # not monic of z-degree g: the series entries fail closed
+                assert derived[key] is False, (name, key)
+        if name == "pair":
+            assert all(oracle.values())
+        if name == "L(V+1)":
+            assert not derived["reduction_psi"]
+            assert not derived["reduction_dpsi"]

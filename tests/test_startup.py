@@ -1,8 +1,8 @@
 """What a fresh `weylpair` process pays before any math: importing the
 package loads none of its modules, importing the CLI loads neither
-dataclasses and inspect nor the json package, only verify loads its own
-layers (curvefun, series, numeric), and --help works, which the
-benchmark's launch check relies on."""
+dataclasses and inspect nor the json package, only numeric verify loads
+its one own layer (numeric), no command loads curvefun or series, and
+--help works, which the benchmark's launch check relies on."""
 
 import os
 import subprocess
@@ -44,11 +44,13 @@ def test_help_exits_zero(argv):
     assert proc.stdout.startswith("usage")
 
 
+# curvefun and series are the tier-1 oracle of verify's reduction and
+# expansion entries, and bench/replay.py's; no command imports them
 VERIFY_LAYERS = {"weylpair.curvefun", "weylpair.series", "weylpair.numeric"}
 
 
 def loaded_verify_layers(*argv) -> set:
-    """The verify-only modules a `weylpair` launch imports, read from
+    """The modules of VERIFY_LAYERS a `weylpair` launch imports, read from
     -X importtime, which names every module a process imports."""
     proc = python("-X", "importtime", "-m", "weylpair.cli", *argv)
     assert proc.returncode == 0, proc.stderr
@@ -67,4 +69,6 @@ def test_only_verify_loads_its_layers(argv):
 def test_verify_loads_its_layers():
     assert loaded_verify_layers(
         "verify", "--genus", "2",
-        "--alpha", "a0=1,a1=0,a2=0,a3=1") == VERIFY_LAYERS
+        "--alpha", "a0=1,a1=0,a2=0,a3=1") == {"weylpair.numeric"}
+    # symbolic parameters skip the root-level checks of numeric
+    assert loaded_verify_layers("verify", "--genus", "2") == set()
