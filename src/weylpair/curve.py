@@ -3,9 +3,10 @@
 F is monic of odd degree 2g+1 in z with coefficients that depend only on
 the parameters a0..a3 (never on x or z), so the curve carries the sheet
 involution (z, w) -> (z, -w) by construction.  Nonsingularity of the
-affine model is equivalent to F being squarefree, i.e. disc_z(F) != 0;
-the single point at infinity of an odd-degree hyperelliptic model is
-always smooth in the standard completion.
+affine model is equivalent to F being squarefree, i.e. disc_z(F) != 0,
+which in characteristic 0 is gcd(F, F') = 1 and is decided by
+poly.shares_root; the single point at infinity of an odd-degree
+hyperelliptic model is always smooth in the standard completion.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cached_property
 
-from .poly import Poly, discriminant
+from .poly import Poly, shares_root
 
 
 class ParamError(ValueError):
@@ -73,12 +74,6 @@ class SpectralCurve(namedtuple("SpectralCurve", "g coeffs")):
             g=obj["g"], coeffs=tuple(Poly.from_json(c) for c in obj["c"]))
 
 
-def discriminant_curve(curve: SpectralCurve) -> Poly:
-    """disc_z(F), a polynomial in the parameters; the curve at a given
-    parameter point is nonsingular exactly when this is nonzero there."""
-    return discriminant(curve.as_poly(), "z")
-
-
 def is_nonsingular(curve: SpectralCurve, params: dict) -> bool:
     """Whether the curve is nonsingular at a full rational parameter point.
 
@@ -89,4 +84,4 @@ def is_nonsingular(curve: SpectralCurve, params: dict) -> bool:
         raise ParamError("a3 must be nonzero")
     f = curve.as_poly().eval(params)
     require_bound(f)
-    return not discriminant(f, "z").is_zero()
+    return not shares_root(f, f.diff("z"), "z")

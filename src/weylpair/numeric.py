@@ -20,15 +20,17 @@ P = Qxx^2 - 2 Qx Qxxx - 4F - 4V Qx^2 (primes in x, all at x0):
 Both are the curve identity (*) reduced mod Q, which curve_identity
 proves for all x.  A vanishing discriminant raises MultipleRootError, a
 vanishing res_z(Q, Qx) or res_z(Q, F) DegenerateDerivativeError: the
-sample point must be re-drawn.  No root is ever approximated; the roots
-enter only through these polynomial statements.  A parameter left in Q,
-V or F raises ParamError; no check reads its params argument.
+sample point must be re-drawn.  poly.shares_root decides each "!= 0" as a
+gcd of 1 over Q (disc_z q != 0 as gcd(q, q') = 1).  No root is ever
+approximated; the roots enter only through these polynomial statements.
+A parameter left in Q, V or F raises ParamError; no check reads its params
+argument.
 """
 
 from __future__ import annotations
 
 from .curve import SpectralCurve, require_bound
-from .poly import NotDivisibleError, Poly, Rat, discriminant, resultant
+from .poly import NotDivisibleError, Poly, Rat, shares_root
 from .qsolver import (DegenerateDerivativeError, DegreeError,
                       MultipleRootError, QPolynomial, XDependenceError,
                       _x_derivs, extract_curve)
@@ -39,7 +41,7 @@ def _vanishes_at_a_root(q: Poly, p: Poly) -> bool:
     constant in z the resultant is p^deg q."""
     if p.degree("z") < 1:
         return p.is_zero()
-    return resultant(q, p, "z").is_zero()
+    return shares_root(q, p, "z")
 
 
 def _x_slices(qp: QPolynomial, x0: Rat, n: int = 3) -> list[Poly]:
@@ -64,7 +66,7 @@ def roots_z(qp: QPolynomial, params: dict | None, x0,
     require_bound(qp.q, qp.v)
     x0 = Rat(x0)
     q = qp.q.eval({"x": x0})
-    if q.degree("z") > 1 and discriminant(q, "z").is_zero():
+    if q.degree("z") > 1 and shares_root(q, q.diff("z"), "z"):
         raise MultipleRootError(f"Q(x0={x0}, z) has a multiple root")
     return q
 

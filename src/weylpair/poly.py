@@ -17,7 +17,6 @@ Polynomials are immutable; every operation returns a new value.
 from __future__ import annotations
 
 import math
-import operator
 import struct
 from fractions import Fraction as Rat
 
@@ -500,85 +499,38 @@ def _coerce(value):
     return NotImplemented
 
 
-def _bareiss_det(mat: list[list], div) -> object:
-    """Determinant of a square matrix of ints or of Polys, n >= 2, by
-    fraction-free (Bareiss) elimination.
+def shares_root(p: Poly, q: Poly, var: str) -> bool:
+    """Whether p and q, polynomials in var alone of positive degree (else
+    ValueError), have a common root: res_var(p, q) == 0, which over Q holds
+    exactly when gcd(p, q) is nonconstant.
 
-    div(a, b) is the exact quotient a / b; every division in the Bareiss
-    recurrence is exact over an integral domain, so the computation stays
-    inside the ring of the entries.
+    Decided by the primitive pseudo-remainder sequence on the int
+    numerators (Knuth, TAOCP vol. 2, section 4.6.1): (a, b) becomes
+    (b, r / content(r)) with r = m a mod b for a nonzero int m.  Each step
+    changes gcd(a, b) only by a unit of Q, so the sequence ends, at a zero
+    remainder, on b = gcd(p, q) up to a unit, or at a constant b.
     """
-    n = len(mat)
-    m = [row[:] for row in mat]
-    sign = 1
-    prev = None
-    for k in range(n - 1):
-        if not m[k][k]:
-            pivot_row = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if pivot_row is None:
-                return m[k][k]  # a zero of the entries' type
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
-        row_k = m[k]
-        pivot = row_k[k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            mik = row_i[k]
-            for j in range(k + 1, n):
-                e = row_i[j] * pivot - mik * row_k[j]
-                row_i[j] = div(e, prev) if k else e
-        prev = pivot
-    det = m[n - 1][n - 1]
-    return -det if sign < 0 else det
-
-
-def _sylvester(pc: list, qc: list, zero) -> list[list]:
-    """Sylvester matrix of two ascending coefficient lists."""
-    n = len(pc) + len(qc) - 2
-    rows = []
-    for coeffs, shifts in ((pc, len(qc) - 1), (qc, len(pc) - 1)):
-        top = coeffs[::-1]
-        for i in range(shifts):
-            rows.append([zero] * i + top + [zero] * (n - i - len(top)))
-    return rows
-
-
-def resultant(p: Poly, q: Poly, var: str) -> Poly:
-    """Resultant of p and q with respect to var, eliminating var.
-
-    Computed as the determinant of the Sylvester matrix by fraction-free
-    (Bareiss) elimination.  When p and q involve var alone, every entry is
-    a constant and the elimination runs on the int numerators of p and q;
-    otherwise the entries are Polys in the remaining variables, which
-    avoids rational-function blowup.
-    """
-    dp = p.degree(var)
-    dq = q.degree(var)
-    if dp < 1 or dq < 1:
-        raise ValueError("resultant requires positive degree in var")
-    s = _SHIFT[var]
-    others = ~(_FIELD << s)
-    if not any(k & others for k in (*p.terms, *q.terms)):
-        pc, qc = [0] * (dp + 1), [0] * (dq + 1)
-        for coeffs, poly in ((pc, p), (qc, q)):
-            for k, c in poly.terms.items():
-                coeffs[k >> s] = c
-        det = _bareiss_det(_sylvester(pc, qc, 0), operator.floordiv)
-        # the dq rows of p carry 1/p.den each, the dp rows of q 1/q.den
-        return Poly.rat(Rat(det, p.den**dq * q.den**dp))
-    rows = _sylvester(p.coeffs_in(var), q.coeffs_in(var), Poly.zero())
-    return _bareiss_det(rows, Poly.exact_div)
-
-
-def discriminant(p: Poly, var: str) -> Poly:
-    """Discriminant of p in var with the standard normalization:
-    (-1)^(d(d-1)/2) * resultant(p, dp/dvar) / leading_coefficient."""
-    d = p.degree(var)
-    if d < 2:
-        raise ValueError("discriminant requires degree >= 2")
-    lead = p.coeff_in(var, d)
-    res = resultant(p, p.diff(var), var)
-    res = res.exact_div(lead)
-    if (d * (d - 1) // 2) % 2:
-        res = -res
-    return res
+    dense = []
+    for poly in (p, q):
+        nums = poly.nums_in(var, poly.degree(var) + 1)[::-1]
+        coeffs = [t.pop(0, 0) for t in nums]  # leading coefficient first
+        if len(coeffs) < 2 or any(nums):  # any(nums): another variable
+            raise ValueError(f"need positive degree in {var} alone")
+        dense.append(coeffs)
+    a, b = sorted(dense, key=len, reverse=True)
+    while len(b) > 1:
+        n = len(b)
+        for i in range(len(a) - n + 1):
+            if a[i]:  # a <- u a - v var^k b, u/v = b[0]/a[i]: a[i] -> 0
+                g = math.gcd(b[0], a[i])
+                u, v = b[0] // g, a[i] // g
+                a[i:i + n] = [u * e - v * f for e, f in zip(a[i:i + n], b)]
+                a[i + n:] = [u * e for e in a[i + n:]]
+        r = a[len(a) - n + 1:]
+        while r and not r[0]:
+            r.pop(0)
+        if not r:
+            return True
+        g = math.gcd(*r)
+        a, b = b, [e // g for e in r]
+    return False

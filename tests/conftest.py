@@ -1,8 +1,9 @@
 import random
 
 import pytest
+import sympy
 
-from weylpair.poly import Poly, Rat
+from weylpair.poly import VARS, Poly, Rat
 
 
 @pytest.fixture
@@ -35,6 +36,16 @@ def random_nonzero_poly(rng, **kw) -> Poly:
         p = random_poly(rng, **kw)
         if not p.is_zero():
             return p
+
+
+def sympy_disc_z(f: Poly):
+    """disc_z f computed by sympy, an expression in the other variables
+    (named as in poly.VARS)."""
+    gens = sympy.symbols(VARS)
+    expr = sum(sympy.Rational(c.numerator, c.denominator)
+               * sympy.Mul(*(v**e for v, e in zip(gens, exps)))
+               for exps, c in f.sorted_terms())
+    return sympy.expand(sympy.discriminant(expr, gens[1]))
 
 
 def random_param_tuple(rng) -> dict:

@@ -462,6 +462,12 @@ VERIFY_REFS = [
     # potential-recovery check itself
     (["--genus", "2", "--alpha", "a0=-5/1,a1=1/1,a2=-9/4,a3=5/3"], 1,
      "dc10514a29fd92601987a59a1c7ab539226bbbddeb44919b77861a47c5eac138"),
+    # F = z^3: a zero disc_z F, so curve_nonsingular fails
+    (["--genus", "1", "--alpha", "a0=0,a1=0,a2=0,a3=1"], 1,
+     "da023210a85e092c9c1d031c1e081068424f509fc55eb0195df6e3e6535eac31"),
+    # the root-level checks on a degree-17 F and a degree-8 Q(x0, z)
+    (["--genus", "8", "--alpha", "a0=2,a1=3/4,a2=3,a3=1"], 0,
+     "425472834f44a47c610e53895e7122f95f54966b2de0a9bb3a01d99514b7d780"),
 ]
 
 

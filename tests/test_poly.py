@@ -1,4 +1,4 @@
-"""Core polynomial ring: examples, axioms, and the resultant machinery."""
+"""Core polynomial ring: examples, axioms, and the common-root decider."""
 
 import json
 import math
@@ -8,16 +8,13 @@ import pytest
 import sympy
 
 from weylpair import poly
-from weylpair.poly import (NotDivisibleError, Poly, Rat, discriminant,
-                           resultant)
+from weylpair.poly import NotDivisibleError, Poly, Rat, shares_root
 
 from conftest import random_nonzero_poly, random_poly, random_rat
 
 x = Poly.var("x")
 z = Poly.var("z")
 a0 = Poly.var("a0")
-a1 = Poly.var("a1")
-a2 = Poly.var("a2")
 a3 = Poly.var("a3")
 
 
@@ -71,21 +68,16 @@ def test_eval_rejects_unknown_variable():
 
 
 def test_resultant_shared_root():
-    assert resultant(z**2 - 1, z - 1, "z").is_zero()
+    assert shares_root(z**2 - 1, z - 1, "z")
+    assert not shares_root(z**2 - 1, z - 2, "z")
 
 
 def test_resultant_requires_positive_degree():
-    with pytest.raises(ValueError):
-        resultant(x, z - 1, "z")
-
-
-def test_discriminant_quadratic():
-    assert discriminant(z**2 + a1 * z + a2, "z") == a1**2 - 4 * a2
-
-
-def test_discriminant_cubic():
-    # disc(z^3 + p z + q) = -4 p^3 - 27 q^2 with p = 0, q = -a0
-    assert discriminant(z**3 - a0, "z") == -27 * a0**2
+    # degree 0 in z, a second variable, and the zero polynomial
+    for p, q in ((x, z - 1), (z - 1, Poly.rat(3)), (z + x, z - 1),
+                 (z - 1, a0 * z**2 + 1), (Poly.zero(), z)):
+        with pytest.raises(ValueError):
+            shares_root(p, q, "z")
 
 
 def test_resultant_vanishes_iff_common_root():
@@ -94,13 +86,13 @@ def test_resultant_vanishes_iff_common_root():
         shared = z - Poly.rat(random_rat(rng))
         p = shared * random_nonzero_poly(rng, vars=("z",), max_exp=2)
         q = shared * random_nonzero_poly(rng, vars=("z",), max_exp=2)
-        assert resultant(p, q, "z").is_zero()
+        assert shares_root(p, q, "z")
     for _ in range(40):
         r1 = random_rat(rng)
         r2 = r1 + 1
         p = (z - Poly.rat(r1)) * (z - Poly.rat(r1 + 2))
         q = z - Poly.rat(r2)
-        assert not resultant(p, q, "z").is_zero()
+        assert not shares_root(p, q, "z")
 
 
 def test_ring_axioms_randomized(rng):
@@ -358,20 +350,14 @@ def test_eval_matches_sympy():
         assert as_dict(p.eval(vals)) == from_sympy(expect)
 
 
-def test_resultant_matches_sympy():
-    rng = random.Random(7)
-    for _ in range(6):
-        p = big_poly(rng, vars=("x", "z", "a0"), n_terms=3, bits=20) + z**2
-        q = big_poly(rng, vars=("x", "z", "a0"), n_terms=3, bits=20) + z
-        r = resultant(p, q, "z")
-        expect = sympy.resultant(to_sympy(p).as_expr(), to_sympy(q).as_expr(),
-                                 GENS[1])
-        assert as_dict(r) == from_sympy(expect)
+def sympy_res_is_zero(p: Poly, q: Poly) -> bool:
+    return sympy.resultant(to_sympy(p).as_expr(), to_sympy(q).as_expr(),
+                           GENS[1]) == 0
 
 
 def test_resultant_in_one_variable_matches_sympy():
-    # p and q in z alone: the elimination runs on their int numerators;
-    # every third pair shares the root 3/2, so its resultant is zero
+    # shares_root against sympy's resultant == 0, on p and q in z alone;
+    # every third pair shares the root 3/2
     rng = random.Random(8)
     for i in range(12):
         p = big_poly(rng, vars=("z",), max_exp=6, n_terms=4, bits=40)
@@ -379,32 +365,42 @@ def test_resultant_in_one_variable_matches_sympy():
         p, q = p + Rat(2, 3) * z**7 + 1, q + Rat(-5, 7) * z**6 + 2
         if i % 3 == 0:
             p, q = p * (z - Rat(3, 2)), q * (2 * z - 3)
-        r = resultant(p, q, "z")
-        expect = sympy.resultant(to_sympy(p).as_expr(), to_sympy(q).as_expr(),
-                                 GENS[1])
-        assert as_dict(r) == from_sympy(expect)
-        assert r.is_zero() == (i % 3 == 0)
-    # sparse pairs whose elimination meets a zero pivot and swaps rows
+        assert shares_root(p, q, "z") == sympy_res_is_zero(p, q)
+        assert shares_root(q, p, "z") == (i % 3 == 0)
+    # random non-monic leading coefficients; every other pair has a common
+    # factor of degree 1 or 2
+    for i in range(40):
+        p = big_poly(rng, vars=("z",), max_exp=4, n_terms=4, bits=30)
+        q = big_poly(rng, vars=("z",), max_exp=3, n_terms=3, bits=30)
+        p = p + Rat(rng.randint(-99, 99) or 1, rng.randint(1, 99)) * z**5 + 1
+        q = q + Rat(rng.randint(-99, 99) or 1, rng.randint(1, 99)) * z**4 + 2
+        if i % 2 == 0:
+            c = big_poly(rng, vars=("z",), max_exp=1 + i % 4 // 2,
+                         n_terms=2, bits=20) + Rat(7, 3) * z**(1 + i % 4 // 2)
+            p, q = p * c, q * Rat(-11, 13) * c
+        assert shares_root(p, q, "z") == sympy_res_is_zero(p, q)
+        assert shares_root(p, q, "z") == (i % 2 == 0)
+    # sparse pairs, with zero coefficients below the leading one
     for p, q in ((z**2 + 1, z), (z, z**2 + 1), (z**3 + 2, 3 * z**2 - 1),
                  (z**4 - 5, z**2 + z)):
-        expect = sympy.resultant(to_sympy(p).as_expr(), to_sympy(q).as_expr(),
-                                 GENS[1])
-        assert as_dict(resultant(p, q, "z")) == from_sympy(expect)
+        assert not shares_root(p, q, "z") and not sympy_res_is_zero(p, q)
 
 
-def test_resultant_commutes_with_binding_parameters():
-    # the symbolic elimination, bound afterwards, against the integer
-    # elimination of the bound polynomials; the leading coefficients in z
-    # are constants, so binding a0 keeps both degrees
-    rng = random.Random(9)
-    for _ in range(6):
-        p = big_poly(rng, vars=("z", "a0"), max_exp=3, n_terms=4, bits=20)
-        q = big_poly(rng, vars=("z", "a0"), max_exp=2, n_terms=3, bits=20)
-        p, q = p + z**4, q + 3 * z**3
-        value = Rat(rng.randint(-99, 99), rng.randint(1, 99))
-        assert (resultant(p, q, "z").eval({"a0": value})
-                == resultant(p.eval({"a0": value}), q.eval({"a0": value}),
-                             "z"))
+def test_shares_root_with_derivative_matches_sympy_discriminant():
+    # (p, p') shares a root exactly when disc p == 0; every other p has a
+    # repeated root
+    rng = random.Random(12)
+    for i in range(30):
+        p = big_poly(rng, vars=("z",), max_exp=4, n_terms=3, bits=30)
+        p = p + Rat(rng.randint(1, 99), rng.randint(1, 99)) * z**5 + 1
+        if i % 2 == 0:
+            r = z - Rat(rng.randint(-99, 99), rng.randint(1, 99))
+            p = p * r**(2 + i % 3)
+        disc = sympy.discriminant(to_sympy(p).as_expr(), GENS[1])
+        assert shares_root(p, p.diff("z"), "z") == (disc == 0)
+        assert (disc == 0) == (i % 2 == 0)
+    assert shares_root(z**3, 3 * z**2, "z")
+    assert not shares_root(z**2 + 1, 2 * z, "z")
 
 
 def test_rat_is_canonical():
