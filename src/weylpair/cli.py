@@ -29,9 +29,8 @@ import time
 from _json import encode_basestring_ascii
 
 from .curve import PARAM_NAMES, ParamError, SpectralCurve, is_nonsingular
-from .pairs import (OperatorPair, build_pair, match_reference_examples,
-                    quartic_from_potentials, verify_commutation,
-                    verify_square_identity)
+from .pairs import (OperatorPair, build_pair, quartic_from_potentials,
+                    verify_commutation, verify_square_identity)
 from .weyl import DiffOp, is_self_adjoint
 from .poly import NVARS, NotDivisibleError, Poly, Rat
 from .qsolver import (DegenerateDerivativeError, DegreeError,
@@ -40,7 +39,8 @@ from .qsolver import (DegenerateDerivativeError, DegreeError,
                       trace_identity_residual)
 # imported after the package modules: compiling them (no cached bytecode)
 # with argparse loaded read 0.15-0.25 MB more peak RSS.  numeric verify
-# compiles its one own layer, weylpair.numeric, after it, in _checks_for
+# compiles its one own layer, weylpair.numeric, after it, in _checks_for,
+# and examples its weylpair.reference, in cmd_examples
 import argparse
 
 INTERNAL_ERRORS = (NotDivisibleError, XDependenceError, DegreeError,
@@ -330,6 +330,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_examples(args) -> int:
+    # the recorded forms are compiled by this command alone
+    from .reference import match_reference_examples
     report = match_reference_examples()
     doc = {}
     failed = False

@@ -68,11 +68,6 @@ class SpectralCurve(namedtuple("SpectralCurve", "g coeffs")):
     def to_json(self) -> dict:
         return {"g": self.g, "c": [c.to_json() for c in self.coeffs]}
 
-    @staticmethod
-    def from_json(obj: dict) -> "SpectralCurve":
-        return SpectralCurve(
-            g=obj["g"], coeffs=tuple(Poly.from_json(c) for c in obj["c"]))
-
 
 def is_nonsingular(curve: SpectralCurve, params: dict) -> bool:
     """Whether the curve is nonsingular at a full rational parameter point.

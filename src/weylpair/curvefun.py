@@ -129,10 +129,6 @@ class CurveFun:
         b = self.b.diff("x") * q - mqx * self.b
         return CurveFun(self.ctx, a, b, self.m + 1)
 
-    def sigma(self) -> "CurveFun":
-        """Pullback under the sheet involution (z, w) -> (z, -w)."""
-        return CurveFun(self.ctx, self.a, -self.b, self.m)
-
     def __str__(self):
         num = f"({self.a})"
         if not self.b.is_zero():

@@ -52,15 +52,6 @@ def _rat(value) -> Rat:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-def _pack(exps) -> int:
-    key = 0
-    for v, e in zip(VARS, exps):
-        if not 0 <= e < _EXP_LIMIT:
-            raise ValueError(f"exponent of {v} out of range: {e}")
-        key |= e << _SHIFT[v]
-    return key
-
-
 _FIELDS = struct.Struct(f">{NVARS}H")  # a key's fields, in VARS order
 
 
@@ -87,15 +78,6 @@ def _make(terms: dict, den: int) -> "Poly":
             den //= g
             terms = {k: c // g for k, c in terms.items()}
     return Poly(terms, den)
-
-
-def _from_rats(terms: dict) -> "Poly":
-    """The Poly with rational coefficients {key: Rat}; zeros are skipped."""
-    terms = {k: c for k, c in terms.items() if c}
-    den = math.lcm(*(c.denominator for c in terms.values()))
-    # each c is in lowest terms, so no prime of den divides every numerator
-    return Poly({k: c.numerator * (den // c.denominator)
-                 for k, c in terms.items()}, den)
 
 
 class Poly:
@@ -141,17 +123,6 @@ class Poly:
         if exp == 0:
             return _ONE
         return Poly({exp << _SHIFT[name]: 1})
-
-    @staticmethod
-    def monomial(coeff, exps: dict) -> "Poly":
-        c = _rat(coeff)
-        if not c:
-            return _ZERO
-        vec = [exps.get(v, 0) for v in VARS]
-        unknown = set(exps) - set(VARS)
-        if unknown:
-            raise ValueError(f"unknown variables {sorted(unknown)}")
-        return Poly({_pack(vec): c.numerator}, c.denominator)
 
     @staticmethod
     def from_nums(terms: dict, den: int) -> "Poly":
@@ -472,19 +443,6 @@ class Poly:
     def to_json(self) -> dict:
         return {"terms": [{"c": c, "e": list(e)}
                           for c, e in self.json_terms()]}
-
-    @staticmethod
-    def from_json(obj: dict) -> "Poly":
-        out: dict = {}
-        for term in obj["terms"]:
-            c = _rat(term["c"])
-            e = term["e"]
-            if len(e) != NVARS:
-                raise ValueError(f"exponent vector must have {NVARS} entries")
-            if c:
-                key = _pack(e)
-                out[key] = out.get(key, Rat(0)) + c
-        return _from_rats(out)
 
 
 _ZERO = Poly({})

@@ -76,13 +76,13 @@ def potentials(g: int, alphas) -> tuple[Poly, Poly]:
     return v, w
 
 
-class QPolynomial(namedtuple("QPolynomial", "g deltas q v w alphas")):
+class QPolynomial(namedtuple("QPolynomial", "g deltas q v w")):
     """Q(x, z) together with its coefficient ladder and potentials.
 
     deltas[s] is the raw coefficient of x^s produced by the recursion
     (deltas[g] = a3^g, deltas[s] = a3^s eps_s); q is their sum rescaled by
     a rational constant so that its z^g coefficient is exactly 1.  v and w
-    are the potentials, alphas the four parameter polynomials.
+    are the potentials.
     """
 
     __slots__ = ()
@@ -138,10 +138,8 @@ def build_q(g: int, params: dict | None = None) -> QPolynomial:
     for s, d in enumerate(deltas):
         raw = raw + d * Poly.var("x", s)
     q = raw * Poly.rat(1 / deltas[0].coeff_in("z", g).const_value())
-    alphas = resolve_alphas(params)
-    v, w = potentials(g, alphas)
-    return QPolynomial(g=g, deltas=tuple(deltas), q=q, v=v, w=w,
-                       alphas=alphas)
+    v, w = potentials(g, resolve_alphas(params))
+    return QPolynomial(g=g, deltas=tuple(deltas), q=q, v=v, w=w)
 
 
 def _x_derivs(q: Poly, n: int) -> list[Poly]:

@@ -40,11 +40,6 @@ class DiffOp:
         return DiffOp([Poly.one()])
 
     @staticmethod
-    def d(n: int = 1) -> "DiffOp":
-        """The pure derivative D^n."""
-        return DiffOp([Poly.zero()] * n + [Poly.one()])
-
-    @staticmethod
     def from_poly(p: Poly) -> "DiffOp":
         """Multiplication operator by a z-free polynomial."""
         return DiffOp([p])
@@ -85,11 +80,16 @@ class DiffOp:
         return DiffOp([c * f for c in self.coeffs])
 
     def __mul__(self, other):
+        """self∘other; a Poly is read as multiplication by it, so that
+        D * x is D∘x = x*D + 1, and a number scales."""
         if isinstance(other, DiffOp):
             return op_mul(self, other)
+        if isinstance(other, Poly):
+            return op_mul(self, DiffOp([other]))
         return self.scale(other)
 
     def __rmul__(self, other):
+        """other∘self for a Poly or a number: each coefficient times it."""
         return self.scale(other)
 
     def __pow__(self, n: int):
@@ -122,10 +122,6 @@ class DiffOp:
 
     def to_json(self) -> dict:
         return {"coeffs": [c.to_json() for c in self.coeffs]}
-
-    @staticmethod
-    def from_json(obj: dict) -> "DiffOp":
-        return DiffOp([Poly.from_json(c) for c in obj["coeffs"]])
 
 
 def op_mul(a: DiffOp, b: DiffOp) -> DiffOp:
@@ -330,10 +326,6 @@ def commutator(a: DiffOp, b: DiffOp) -> DiffOp:
     return op_mul(a, b) - op_mul(b, a)
 
 
-def anticommutator(a: DiffOp, b: DiffOp) -> DiffOp:
-    return op_mul(a, b) + op_mul(b, a)
-
-
 def adjoint(a: DiffOp) -> DiffOp:
     """Formal adjoint sum_i (-1)^i D^i ∘ c_i, expanded to canonical form."""
     if a.is_zero():
@@ -390,15 +382,3 @@ def poly_of_products(c: list[Poly | DiffOp], op: DiffOp,
             result = op_mul(result, op) + b
         return result
     return DiffOp(_op_mul_kronecker(cx, ox, math.inf, px))
-
-
-def apply_to(op: DiffOp, f: Poly) -> Poly:
-    """Apply the operator to a polynomial function of x (and parameters)."""
-    out = Poly.zero()
-    df = f
-    for i, ci in enumerate(op.coeffs):
-        if i > 0:
-            df = df.diff("x")
-        if not ci.is_zero():
-            out = out + ci * df
-    return out

@@ -1,14 +1,55 @@
+import math
 import random
 
 import pytest
 import sympy
 
+from weylpair.curve import SpectralCurve
 from weylpair.poly import VARS, Poly, Rat
+from weylpair.weyl import DiffOp
 
 
 @pytest.fixture
 def rng():
     return random.Random(0x5EED)
+
+
+def monomial(coeff, exps: dict) -> Poly:
+    """coeff * prod v^exps[v] over the variables v of poly.VARS."""
+    return math.prod((Poly.var(v, e) for v, e in exps.items()),
+                     start=Poly.rat(coeff))
+
+
+def deriv(n: int = 1) -> DiffOp:
+    """The pure derivative D^n."""
+    return DiffOp([Poly.zero()] * n + [Poly.one()])
+
+
+def apply_to(op: DiffOp, f: Poly) -> Poly:
+    """Apply the operator to a polynomial function of x (and parameters)."""
+    out = Poly.zero()
+    df = f
+    for i, ci in enumerate(op.coeffs):
+        if i > 0:
+            df = df.diff("x")
+        out = out + ci * df
+    return out
+
+
+# readers of the to_json() forms the CLI writes
+
+def poly_from_json(obj: dict) -> Poly:
+    return sum((monomial(Rat(t["c"]), dict(zip(VARS, t["e"], strict=True)))
+                for t in obj["terms"]), Poly.zero())
+
+
+def op_from_json(obj: dict) -> DiffOp:
+    return DiffOp([poly_from_json(c) for c in obj["coeffs"]])
+
+
+def curve_from_json(obj: dict) -> SpectralCurve:
+    return SpectralCurve(g=obj["g"],
+                         coeffs=tuple(poly_from_json(c) for c in obj["c"]))
 
 
 def random_rat(rng, lo=-6, hi=6, max_den=4) -> Rat:
@@ -21,13 +62,13 @@ def random_poly(rng, vars=("x", "z"), max_exp=3, n_terms=4,
     for _ in range(n_terms):
         c = random_rat(rng, lo, hi)
         exps = {v: rng.randint(0, max_exp) for v in vars}
-        p = p + Poly.monomial(c, exps)
+        p = p + monomial(c, exps)
     return p
 
 
 def x_poly(terms: dict) -> Poly:
     """sum_d terms[d] * x^d, for rational coefficients terms[d]."""
-    return sum((Poly.monomial(c, {"x": d}) for d, c in terms.items()),
+    return sum((monomial(c, {"x": d}) for d, c in terms.items()),
                Poly.zero())
 
 

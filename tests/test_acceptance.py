@@ -25,18 +25,18 @@ from weylpair.curvefun import (expand_at_infinity, expansion_report,
 from weylpair.numeric import roots_z, verify_krichever, \
     verify_potential_recovery
 from weylpair.pairs import (build_pair, commutant_solve, in_affine_span,
-                            is_power_span, operator_diff,
-                            reference_companion, verify_commutation,
+                            is_power_span, verify_commutation,
                             verify_square_identity)
 from weylpair.poly import Poly, Rat
 from weylpair.qsolver import (build_q, curve_identity_residual,
                               derived_ode_residual, extract_curve,
                               q_ode_residual, trace_identity_residual)
 from weylpair.series import series_from_poly
-from weylpair.weyl import DiffOp, adjoint, apply_to, commutator, op_mul
+from weylpair.reference import operator_diff, reference_companion
+from weylpair.weyl import DiffOp, adjoint, commutator, op_mul
 
-from conftest import (derived_ode_reading, random_param_tuple, random_poly,
-                      random_rat, sympy_disc_z)
+from conftest import (apply_to, derived_ode_reading, random_param_tuple,
+                      random_poly, random_rat, sympy_disc_z)
 
 SLICE = {"a1": 0, "a2": 0, "a3": 1}
 z = Poly.var("z")

@@ -4,12 +4,14 @@ import hashlib
 import importlib
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from weylpair import cli, pairs
+from weylpair import cli, pairs, reference
 from weylpair.cli import main
 from weylpair.curve import SpectralCurve
 from weylpair.curvefun import (expand_at_infinity, expansion_report,
@@ -17,7 +19,8 @@ from weylpair.curvefun import (expand_at_infinity, expansion_report,
 from weylpair.pairs import quartic_from_potentials
 from weylpair.poly import Poly, Rat
 from weylpair.qsolver import XDependenceError
-from weylpair.weyl import DiffOp
+
+from conftest import curve_from_json, deriv, op_from_json, poly_from_json
 
 
 def run_cli(argv, capsys):
@@ -35,11 +38,11 @@ def test_construct_genus2_contains_curve(capsys):
     assert set(doc) == {"genus", "Q", "deltas", "F", "L4", "M"}
     z = Poly.var("z")
     a0 = Poly.var("a0")
-    f = SpectralCurve.from_json(doc["F"]).as_poly()
+    f = curve_from_json(doc["F"]).as_poly()
     assert f == z**5 + 27 * a0 * z**2 + 81
-    q = Poly.from_json(doc["Q"])
+    q = poly_from_json(doc["Q"])
     assert q == z**2 + 3 * Poly.var("x") * z + 9 * Poly.var("x") ** 2
-    m = DiffOp.from_json(doc["M"])
+    m = op_from_json(doc["M"])
     assert m.order() == 10
 
 
@@ -49,7 +52,7 @@ def test_construct_genus1_numeric(capsys):
         capsys)
     assert code == 0
     z = Poly.var("z")
-    f = SpectralCurve.from_json(json.loads(out)["F"]).as_poly()
+    f = curve_from_json(json.loads(out)["F"]).as_poly()
     assert f == z**3 - 1
 
 
@@ -188,7 +191,7 @@ def test_examples_fails_closed(field, monkeypatch, capsys):
     bad = dict(rep, **{field: False})
     if field == "companion_match":
         bad["companion_diff"] = [(0, "-9")]
-    monkeypatch.setattr(cli, "match_reference_examples",
+    monkeypatch.setattr(reference, "match_reference_examples",
                         lambda: {2: bad, 3: rep})
     code, out, _ = run_cli(["examples"], capsys)
     assert code == 1
@@ -197,7 +200,7 @@ def test_examples_fails_closed(field, monkeypatch, capsys):
 
 def test_examples_prints_curve_diff(monkeypatch, capsys):
     bad = dict(MATCHING_REPORT, curve_match=False, curve_diff="27*a0*z^2")
-    monkeypatch.setattr(cli, "match_reference_examples",
+    monkeypatch.setattr(reference, "match_reference_examples",
                         lambda: {2: bad, 3: MATCHING_REPORT})
     code, _, err = run_cli(["examples"], capsys)
     assert code == 1
@@ -220,6 +223,20 @@ def test_examples_determinism(capsys):
     code2, out2, _ = run_cli(["examples"], capsys)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_examples_stdout_pinned():
+    # the whole document of a fresh `python -m weylpair.cli examples`
+    # launch, both genera matching, byte for byte
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "weylpair.cli", "examples"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout) == 335
+    assert hashlib.sha256(proc.stdout).hexdigest() == (
+        "95334853c05528aa5d307768e30b7a7308f8b332be610b7492537b7b10b1a07c")
 
 
 def test_verify_report_is_json_and_summary_on_stderr(capsys):
@@ -542,9 +559,9 @@ def test_emit_matches_json_dumps(monkeypatch, capsys):
     assert cli.encode_basestring_ascii is json.encoder.encode_basestring_ascii
     docs = []
     monkeypatch.setattr(cli, "_emit", lambda doc, out_path: docs.append(doc))
-    reference_companion = pairs.reference_companion
-    monkeypatch.setattr(pairs, "reference_companion",
-                        lambda g: reference_companion(g) + DiffOp.d(2))
+    reference_companion = reference.reference_companion
+    monkeypatch.setattr(reference, "reference_companion",
+                        lambda g: reference_companion(g) + deriv(2))
     constructs = [(1, "a0=sym,a1=sym"), (6, "a0=2,a1=3/4,a2=3,a3=1"),
                   (12, "a0=3/4,a1=3/4,a2=-5/3,a3=-1/4")]
     runs = [*(["construct", "--genus", str(g), "--alpha", alpha]

@@ -7,7 +7,7 @@ from weylpair.curve import ParamError, SpectralCurve, is_nonsingular
 from weylpair.poly import Poly
 from weylpair.qsolver import build_q, extract_curve
 
-from conftest import random_param_tuple, sympy_disc_z
+from conftest import curve_from_json, random_param_tuple, sympy_disc_z
 
 z = Poly.var("z")
 a0 = sympy.Symbol("a0")
@@ -90,7 +90,7 @@ def test_involution_is_structural():
 
 def test_json_roundtrip():
     c = extract_curve(build_q(2))
-    assert SpectralCurve.from_json(c.to_json()).coeffs == c.coeffs
+    assert curve_from_json(c.to_json()).coeffs == c.coeffs
 
 
 def test_as_poly_is_built_once_per_curve():

@@ -393,8 +393,7 @@ def test_exact_checks_negative_controls(g):
     coeffs = list(curve.coeffs)
     coeffs[0] = coeffs[0] + 1
     bad_curve = SpectralCurve(g=g, coeffs=tuple(coeffs))
-    bad_v = QPolynomial(g=g, deltas=qp.deltas, q=qp.q, v=qp.v + 1, w=qp.w,
-                        alphas=qp.alphas)
+    bad_v = QPolynomial(g=g, deltas=qp.deltas, q=qp.q, v=qp.v + 1, w=qp.w)
     for x0 in (Rat(1, 2), Rat(3, 2)):
         assert verify_krichever(qp, bad_curve, None, x0)["pass"] is False
         assert verify_potential_recovery(bad_v, None, x0)["pass"] is False
@@ -412,7 +411,7 @@ def test_degenerate_sample_points_raise():
         verify_krichever(zero_a0, extract_curve(zero_a0), None, 0)
     # Qx(1/2, z) = 0 while the roots +-1 of Q(1/2, z) are simple
     flat = QPolynomial(g=2, deltas=qp.deltas, q=z**2 - 1 + (x - half)**2,
-                       v=qp.v, w=qp.w, alphas=qp.alphas)
+                       v=qp.v, w=qp.w)
     with pytest.raises(DegenerateDerivativeError):
         verify_krichever(flat, curve, None, half)
     # a pole on a branch point: F vanishes at the root of Q(2, z) = z + 2

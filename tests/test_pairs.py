@@ -12,16 +12,17 @@ import sympy
 from weylpair.curve import ParamError, SpectralCurve
 from weylpair.pairs import (OperatorPair, build_companion, build_pair,
                             build_quartic, commutant_solve, in_affine_span,
-                            is_power_span, match_reference_examples,
-                            operator_diff, quartic_from_potentials,
-                            reference_companion, reference_curve_constants,
+                            is_power_span, quartic_from_potentials,
                             verify_commutation, verify_square_identity)
 from weylpair.poly import Poly, Rat
 from weylpair.qsolver import build_q, potentials, resolve_alphas
+from weylpair.reference import (match_reference_examples, operator_diff,
+                                reference_companion,
+                                reference_curve_constants)
 from weylpair.weyl import DiffOp, adjoint, commutator, is_self_adjoint, \
     op_mul, poly_of_op
 
-from conftest import random_param_tuple, random_poly
+from conftest import deriv, monomial, random_param_tuple, random_poly
 
 x = Poly.var("x")
 a0 = Poly.var("a0")
@@ -42,7 +43,7 @@ def _op_from_coeffs(order: int, bounds: list[int], u: list[Rat]) -> DiffOp:
         p = Poly.zero()
         for d in range(bounds[i] + 1):
             if u[idx]:
-                p = p + Poly.monomial(u[idx], {"x": d})
+                p = p + monomial(u[idx], {"x": d})
             idx += 1
         coeffs.append(p)
     coeffs.append(Poly.one())
@@ -104,7 +105,7 @@ def dense_commutant_solve(l4: DiffOp, order: int, slack: int = 0,
         bounds = [_coefficient_bound(order, i, slack) for i in range(order)]
         unknowns = sum(b + 1 for b in bounds)
         # residual of the fixed monic part
-        base = commutator(l4, DiffOp.d(order))
+        base = commutator(l4, deriv(order))
         columns = []
         for i in range(order):
             for d in range(bounds[i] + 1):
@@ -136,7 +137,7 @@ def dense_commutant_solve(l4: DiffOp, order: int, slack: int = 0,
                 f"no monic commutant of order {order} within degree bounds")
         particular_vec, basis_vecs = solved
         particular = _op_from_coeffs(order, bounds, particular_vec)
-        basis = [_op_from_coeffs(order, bounds, v) - DiffOp.d(order)
+        basis = [_op_from_coeffs(order, bounds, v) - deriv(order)
                  for v in basis_vecs]
         if known is not None and not in_affine_span(known, particular, basis):
             if slack >= 2 * max_escalations:
@@ -180,7 +181,7 @@ def test_companion_genus1_structure():
     pair = build_pair(1, SLICE)
     v = x**3 + a0
     h = DiffOp([v, Poly.zero(), Poly.one()])
-    expect = op_mul(h, pair.l4) + op_mul(DiffOp.from_poly(x), h) - DiffOp.d()
+    expect = op_mul(h, pair.l4) + op_mul(DiffOp.from_poly(x), h) - deriv()
     assert pair.m == expect
     assert pair.m.order() == 6
 
@@ -382,6 +383,43 @@ def test_companion_is_self_adjoint():
     assert adjoint(pair.m) == pair.m
 
 
+# -- self-adjointness of M through the commutant ----------------------------
+# For a self-adjoint L and any M, [L, M*] = -[L, M]*, so [L, M* - M] =
+# -(C + C*) with C = [L, M]: once [L, M] = 0, M* - M commutes with L.
+
+@pytest.mark.parametrize("names", [("x",), ("x", "a0")],
+                         ids=["numeric", "a0"])
+def test_bracket_with_adjoint_difference(names):
+    rng = random.Random(0xAD70)
+    for _ in range(40):
+        v = random_poly(rng, vars=names, max_exp=3, n_terms=3)
+        w = random_poly(rng, vars=names, max_exp=2, n_terms=2)
+        l4 = quartic_from_potentials(v, w)
+        m = DiffOp([random_poly(rng, vars=names, max_exp=3, n_terms=3)
+                    for _ in range(rng.randint(1, 6))])
+        c = commutator(l4, m)
+        assert is_self_adjoint(l4)
+        assert commutator(l4, adjoint(m) - m) == -(c + adjoint(c))
+
+
+@pytest.mark.parametrize("params", [{"a0": 2, "a1": Rat(3, 4), "a2": 3,
+                                     "a3": 1}, None],
+                         ids=["numeric", "symbolic"])
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_self_adjoint_controls(g, params):
+    # commuting with L is not implied by self-adjointness (M + x), and
+    # these odd-order terms break both; M + L keeps both
+    pair = build_pair(g, params)
+    for extra, commutes, self_adjoint in (
+            (DiffOp([Poly.zero(), x]), False, False),
+            (deriv(4 * g + 1), False, False),
+            (DiffOp([x]), False, True),
+            (pair.l4, True, True)):
+        m = pair.m + extra
+        assert commutator(pair.l4, m).is_zero() is commutes
+        assert is_self_adjoint(m) is self_adjoint
+
+
 def test_reference_genus3_matches_exactly():
     pair = build_pair(3, SLICE)
     assert operator_diff(pair.m, reference_companion(3)) == []
@@ -485,7 +523,7 @@ def dense_in_affine_span(op: DiffOp, particular: DiffOp,
 
 
 def test_in_affine_span_edge_cases():
-    d1, d2, d3 = DiffOp.d(1), DiffOp.d(2), DiffOp.d(3)
+    d1, d2, d3 = deriv(1), deriv(2), deriv(3)
     xop, x2op = DiffOp.from_poly(x), DiffOp.from_poly(x**2)
     xd = op_mul(xop, d1)
     p = DiffOp([x**3, a0 * x, Poly.one()])

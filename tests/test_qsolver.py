@@ -10,7 +10,8 @@ from weylpair.curve import ParamError
 from weylpair.poly import Poly, Rat
 from weylpair.qsolver import (QPolynomial, XDependenceError, build_deltas,
                               build_q, curve_identity_residual, curve_rhs, derived_ode_residual, extract_curve,
-                              q_ode_residual, trace_identity_residual)
+                              q_ode_residual, resolve_alphas,
+                              trace_identity_residual)
 
 from conftest import derived_ode_reading, random_param_tuple, random_poly
 
@@ -169,8 +170,7 @@ def test_ode_residual_zero_numeric(rng):
 
 def test_ode_negative_control():
     qp = build_q(1)
-    bad = QPolynomial(g=qp.g, deltas=qp.deltas, q=qp.q + x, v=qp.v, w=qp.w,
-                      alphas=qp.alphas)
+    bad = QPolynomial(g=qp.g, deltas=qp.deltas, q=qp.q + x, v=qp.v, w=qp.w)
     assert not q_ode_residual(bad).is_zero()
 
 
@@ -201,8 +201,7 @@ def test_extract_monic_and_x_free_fully_symbolic():
 
 def test_extract_rejects_corrupted_q():
     qp = build_q(2, SLICE)
-    bad = QPolynomial(g=qp.g, deltas=qp.deltas, q=qp.q + x, v=qp.v, w=qp.w,
-                      alphas=qp.alphas)
+    bad = QPolynomial(g=qp.g, deltas=qp.deltas, q=qp.q + x, v=qp.v, w=qp.w)
     with pytest.raises(XDependenceError):
         extract_curve(bad)
 
@@ -213,7 +212,7 @@ def test_curve_identity_residual():
     assert curve_identity_residual(qp, curve).is_zero()
     # perturbing W breaks it
     bad = QPolynomial(g=qp.g, deltas=qp.deltas, q=qp.q, v=qp.v,
-                      w=qp.w + 1, alphas=qp.alphas)
+                      w=qp.w + 1)
     assert not curve_identity_residual(bad, curve).is_zero()
 
 
@@ -271,18 +270,18 @@ def test_derived_ode_is_q_ode_operator(g):
     qp = build_q(g)
     for bump in (Poly.zero(), x, x**3 * z, a1 * x**2):
         moved = QPolynomial(g=g, deltas=qp.deltas, q=qp.q + bump, v=qp.v,
-                            w=qp.w, alphas=qp.alphas)
+                            w=qp.w)
         res = q_ode_residual(moved)
         assert derived_ode_residual(moved) == res
         assert res.is_zero() == bump.is_zero()
 
 
-def ode_in_parameters(qp: QPolynomial) -> Poly:
+def ode_in_parameters(qp: QPolynomial, params: dict | None) -> Poly:
     """The fifth-order ODE of Q written with a2, a3 and g in place of V''
     and W:  Q^(5) + 4V Q^(3) + 4(a2 - (g^2+g-3) a3 x + z) Q'
     + 6V' Q'' - 2g(g+1) a3 Q."""
     g = qp.g
-    _, _, b2, b3 = qp.alphas
+    _, _, b2, b3 = resolve_alphas(params)
     d = [qp.q]
     for _ in range(5):
         d.append(d[-1].diff("x"))
@@ -297,10 +296,11 @@ def test_ode_residual_matches_parameter_form(g, rng):
     # q_ode_residual is written with V'' and W; on the potentials of the
     # construction it is the same operator as the form in a2, a3 and g,
     # on the constructed Q and on perturbed ones, symbolic and numeric
-    for qp in (build_q(g), build_q(g, random_param_tuple(rng))):
+    for params in (None, random_param_tuple(rng)):
+        qp = build_q(g, params)
         for bump in (Poly.zero(), x, x**3 * z, a1 * x**2):
             moved = qp._replace(q=qp.q + bump)
-            assert q_ode_residual(moved) == ode_in_parameters(moved)
+            assert q_ode_residual(moved) == ode_in_parameters(moved, params)
 
 
 def test_derived_ode_cube_reading_fails():
@@ -325,7 +325,7 @@ def test_derived_ode_flipped_curvature_sign_fails():
 def companion_identity_gap(q: Poly, v: Poly, w: Poly) -> Poly:
     """d/dx of curve_rhs minus 2*Q*(companion identity), for arbitrary
     polynomials Q, V, W, with the library's companion expression."""
-    qp = QPolynomial(g=0, deltas=(), q=q, v=v, w=w, alphas=())
+    qp = QPolynomial(g=0, deltas=(), q=q, v=v, w=w)
     return curve_rhs(q, v, w).diff("x") - 2 * q * derived_ode_residual(qp)
 
 

@@ -59,7 +59,7 @@ def test_replace_changes_one_field():
     bumped = qp._replace(q=qp.q + Poly.var("x"))
     assert bumped.q == qp.q + Poly.var("x")
     assert bumped._replace(q=qp.q) == qp
-    assert bumped.deltas is qp.deltas and bumped.alphas is qp.alphas
+    assert bumped.deltas is qp.deltas and bumped.v is qp.v
 
 
 def test_spectral_curve_replace_keeps_its_checks():

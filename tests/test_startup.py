@@ -1,8 +1,10 @@
 """What a fresh `weylpair` process pays before any math: importing the
 package loads none of its modules, importing the CLI loads neither
-dataclasses and inspect nor the json package, only numeric verify loads
-its one own layer (numeric), no command loads curvefun or series, and
---help works, which the benchmark's launch check relies on."""
+dataclasses and inspect nor the json package, and --help works, which
+the benchmark's launch check relies on.  Each command loads an exact set
+of weylpair modules: construct, symbolic verify and --help load cli,
+curve, pairs, poly, qsolver and weyl; numeric verify adds numeric, and
+examples adds reference.  No command loads curvefun or series."""
 
 import os
 import subprocess
@@ -44,31 +46,41 @@ def test_help_exits_zero(argv):
     assert proc.stdout.startswith("usage")
 
 
-# curvefun and series are the tier-1 oracle of verify's reduction and
-# expansion entries, and bench/replay.py's; no command imports them
-VERIFY_LAYERS = {"weylpair.curvefun", "weylpair.series", "weylpair.numeric"}
+# the launch of the `weylpair` console script; `python -m weylpair.cli`
+# runs the same code, with cli named __main__
+SCRIPT = "import sys; from weylpair.cli import main; sys.exit(main())"
+# what every command compiles: the pair, its certificates and the CLI
+CORE = {"cli", "curve", "pairs", "poly", "qsolver", "weyl"}
+NUMERIC = ["--alpha", "a0=1,a1=0,a2=0,a3=1"]
 
 
-def loaded_verify_layers(*argv) -> set:
-    """The modules of VERIFY_LAYERS a `weylpair` launch imports, read from
-    -X importtime, which names every module a process imports."""
-    proc = python("-X", "importtime", "-m", "weylpair.cli", *argv)
+def loaded_modules(*argv) -> set:
+    """The weylpair.* modules a `weylpair` launch imports, without the
+    prefix, read from -X importtime, which names every module a process
+    imports."""
+    proc = python("-X", "importtime", "-c", SCRIPT, *argv)
     assert proc.returncode == 0, proc.stderr
-    return {line.rsplit("|", 1)[-1].strip()
-            for line in proc.stderr.splitlines()
-            if line.startswith("import time:")} & VERIFY_LAYERS
+    names = {line.rsplit("|", 1)[-1].strip()
+             for line in proc.stderr.splitlines()
+             if line.startswith("import time:")}
+    return {m.removeprefix("weylpair.") for m in names
+            if m.startswith("weylpair.")}
 
 
-@pytest.mark.parametrize("argv", [
-    ["construct", "--genus", "2", "--alpha", "a0=1,a1=0,a2=0,a3=1"],
-    ["examples"], ["--help"]], ids=["construct", "examples", "help"])
-def test_only_verify_loads_its_layers(argv):
-    assert loaded_verify_layers(*argv) == set()
+# curvefun and series are the tier-1 oracle of verify's reduction and
+# expansion entries, and bench/replay.py's; no command imports them.
+# numeric is numeric verify's root-level layer, reference the recorded
+# forms that only examples reports
+@pytest.mark.parametrize("argv, extra", [
+    (["construct", "--genus", "2", *NUMERIC], set()),
+    (["examples"], {"reference"}),
+    (["--help"], set())], ids=["construct", "examples", "help"])
+def test_only_verify_loads_its_layers(argv, extra):
+    assert loaded_modules(*argv) == CORE | extra
 
 
 def test_verify_loads_its_layers():
-    assert loaded_verify_layers(
-        "verify", "--genus", "2",
-        "--alpha", "a0=1,a1=0,a2=0,a3=1") == {"weylpair.numeric"}
+    assert (loaded_modules("verify", "--genus", "2", *NUMERIC)
+            == CORE | {"numeric"})
     # symbolic parameters skip the root-level checks of numeric
-    assert loaded_verify_layers("verify", "--genus", "2") == set()
+    assert loaded_modules("verify", "--genus", "2") == CORE

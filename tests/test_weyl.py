@@ -9,15 +9,16 @@ import sympy
 from weylpair import pairs, weyl
 from weylpair.pairs import build_pair
 from weylpair.poly import Poly, Rat
-from weylpair.weyl import (DiffOp, adjoint, anticommutator, apply_to,
-                           commutator, is_self_adjoint, op_mul, poly_of_op,
-                           poly_of_products)
+from weylpair.reference import anticommutator
+from weylpair.weyl import (DiffOp, adjoint, commutator, is_self_adjoint,
+                           op_mul, poly_of_op, poly_of_products)
 
-from conftest import random_poly, x_poly
+from conftest import (apply_to, deriv, monomial, op_from_json, random_poly,
+                      x_poly)
 
 x = Poly.var("x")
 a0 = Poly.var("a0")
-D = DiffOp.d()
+D = deriv()
 X = DiffOp.from_poly(x)
 H = DiffOp([x**3 + a0, Poly.zero(), Poly.one()])  # D^2 + x^3 + a0
 
@@ -34,8 +35,21 @@ def test_canonical_commutation_relation():
 
 def test_leibniz_exchange_example():
     # (x^3 psi)'' = x^3 psi'' + 6x^2 psi' + 6x psi
-    assert op_mul(DiffOp.d(2), DiffOp.from_poly(x**3)) == \
+    assert op_mul(deriv(2), DiffOp.from_poly(x**3)) == \
         DiffOp([6 * x, 6 * x**2, x**3])
+
+
+def test_product_with_poly_composes(rng):
+    # A * p is A∘p and p * A is p∘A, a Poly read as multiplication by it;
+    # a number only scales
+    assert D * x == DiffOp([Poly.one(), x])
+    assert x * D == DiffOp([Poly.zero(), x])
+    for _ in range(50):
+        a = random_op(rng)
+        p = random_poly(rng, vars=("x", "a0"), max_exp=3, n_terms=3)
+        assert a * p == op_mul(a, DiffOp([p]))
+        assert p * a == op_mul(DiffOp([p]), a)
+        assert a * Rat(3, 2) == Rat(3, 2) * a == a.scale(Rat(3, 2))
 
 
 def test_schroedinger_anticommutator_with_x():
@@ -199,7 +213,7 @@ def test_zero_handling():
 def test_json_roundtrip(rng):
     for _ in range(20):
         op = random_op(rng)
-        assert DiffOp.from_json(op.to_json()) == op
+        assert op_from_json(op.to_json()) == op
 
 
 # -- the integer Kronecker kernel against independent oracles ---------------
@@ -350,7 +364,7 @@ def test_kronecker_zero_and_identity_operands():
         assert op_mul(-a, a) == -schoolbook_op_mul(a, a)
     assert op_mul(one, one) == one
     # pure derivatives: constant coefficients, x-degree zero throughout
-    assert op_mul(DiffOp.d(3), DiffOp.d(5)) == DiffOp.d(8)
+    assert op_mul(deriv(3), deriv(5)) == deriv(8)
 
 
 def test_kronecker_matches_sympy_application():
@@ -432,7 +446,7 @@ def random_param_op(rng, order, bits) -> DiffOp:
         for _ in range(rng.randint(0, 4)):
             c = Rat(rng.randint(-(1 << bits), 1 << bits),
                     rng.randint(1, 1 << bits))
-            p = p + Poly.monomial(c, {v: rng.randint(0, 3)
+            p = p + monomial(c, {v: rng.randint(0, 3)
                                       for v in ("x", "a0", "a1")})
         coeffs.append(p)
     coeffs[-1] = coeffs[-1] + a0  # a parameter occurs, and the order holds
