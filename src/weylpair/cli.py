@@ -32,7 +32,7 @@ from .curve import PARAM_NAMES, ParamError, SpectralCurve, is_nonsingular
 from .pairs import (OperatorPair, build_pair, quartic_from_potentials,
                     verify_commutation, verify_square_identity)
 from .weyl import DiffOp, is_self_adjoint
-from .poly import NVARS, NotDivisibleError, Poly, Rat
+from .poly import NVARS, Poly, Rat
 from .qsolver import (DegenerateDerivativeError, DegreeError,
                       MultipleRootError, XDependenceError,
                       curve_identity_residual, q_ode_residual,
@@ -43,8 +43,8 @@ from .qsolver import (DegenerateDerivativeError, DegreeError,
 # and examples its weylpair.reference, in cmd_examples
 import argparse
 
-INTERNAL_ERRORS = (NotDivisibleError, XDependenceError, DegreeError,
-                   MultipleRootError, DegenerateDerivativeError)
+INTERNAL_ERRORS = (XDependenceError, DegreeError, MultipleRootError,
+                   DegenerateDerivativeError)
 
 
 def _parse_alpha(text: str) -> dict:

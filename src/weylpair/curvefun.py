@@ -251,7 +251,7 @@ def expansion_report(s0: LaurentSeries, s1: LaurentSeries,
     checks["leading_term"] = (s0.val == -1
                               and s0.coeff(-1) == Poly.one())
     checks["potential_v"] = s0.coeff(0) == -qp.v
-    checks["potential_w"] = s0.coeff(1) == qp.w.exact_div(Poly.rat(-2))
+    checks["potential_w"] = s0.coeff(1) == qp.w * Rat(-1, 2)
     checks["self_adjoint_b1"] = s1.coeff(1).is_zero()
     odd_ok = True
     for n in s1.known_range():

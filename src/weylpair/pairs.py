@@ -37,6 +37,19 @@ coefficient at a time from the top order down (the Burchnall-Chaundy
 recursion) with every integration constant 0.  As [L, .] is linear, the
 solutions are the run(n) + sum_k c_k run(k) whose leftover low-order
 brackets cancel, and one echelon reduction finds those c_k.
+
+Why M is self-adjoint (arXiv:1107.3356; Burchnall-Chaundy 1923).  For
+L* = L, [L, M*] = -[L, M]*, so [L, M* - M] = -([L, M] + [L, M]*): once
+[L, M] = 0, M* - M commutes with L, and its order is below 4g+2, as M is
+monic of even order.  The basis that commutant_solve(L, 4g+2) returns
+spans every operator of order below 4g+2 that commutes with L, so where
+is_power_span accepts it, that is span{1, L, ..., L^g}: the monic
+commuting orders below 4g+2 are 0, 4, ..., 4g, which for a nonsingular
+curve are twice the pole orders at its branch point at infinity, whose
+gaps are 1, 3, ..., 2g-1.  Then M* - M = sum_k c_k L^k with constant c_k,
+and taking adjoints gives sum_k c_k L^k = -sum_k c_k L^k, so every c_k is
+0 and M* = M.  The tests check the span at g = 1..6 on seeded numeric
+parameters; verify still computes self_adjoint_m on its own.
 """
 
 from __future__ import annotations
@@ -209,6 +222,13 @@ def commutant_solve(l4: DiffOp, order: int, known: DiffOp | None = None):
     1, any other becomes a pivot, and v(n) must reduce to zero.  These
     are the free-column basis and the particular solution of reduced row
     echelon form.
+
+    So the basis spans every operator A of order t < n that commutes with
+    L: A has a constant leading coefficient c (the top coefficient of
+    [L, A] is 4c'), and A/c is a monic solution of order t, run(t) +
+    sum_{k<t} c_k run(k) with v(t) + sum_k c_k v(k) = 0, a dependency
+    among v(0), ..., v(n-1) that _echelon records.  At n = 4g+2 this is
+    the span hypothesis of M* = M in the module docstring.
 
     Returns (particular, basis): the affine solution set is particular +
     span(basis).  Raises ValueError when the system is inconsistent.  If

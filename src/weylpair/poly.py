@@ -25,21 +25,16 @@ NVARS = len(VARS)
 
 # Exponent vectors are packed into a single int, 16 bits per variable, with
 # x in the most significant field so that integer comparison of keys equals
-# lexicographic comparison of (e_x, e_z, e_a0, ..., e_a3).  All exponents
-# must stay below 2**15 so that monomial divisibility can be tested with a
-# borrow mask; the degrees arising here are at most a few hundred.  Adding
-# two keys multiplies the monomials.
+# lexicographic comparison of (e_x, e_z, e_a0, ..., e_a3).  Adding two
+# keys multiplies the monomials; all exponents must stay below 2**15 so
+# that no sum carries one 16-bit field into the next.  The degrees arising
+# here are at most a few hundred.
 _SHIFT = {v: 16 * (NVARS - 1 - i) for i, v in enumerate(VARS)}
 _FIELD = 0xFFFF
 _EXP_LIMIT = 1 << 15
-_BORROW_MASK = sum(0x8000 << (16 * j) for j in range(NVARS))
 # x holds the top field, so every other variable lives in the bits below it.
 _X_SHIFT = _SHIFT["x"]
 _NON_X = (1 << _X_SHIFT) - 1
-
-
-class NotDivisibleError(ArithmeticError):
-    """Raised when an exact polynomial division leaves a remainder."""
 
 
 def _rat(value) -> Rat:
@@ -59,13 +54,11 @@ def _unpack(key: int) -> tuple[int, ...]:
     return _FIELDS.unpack(key.to_bytes(2 * NVARS, "big"))
 
 
-def _glex(key: int) -> tuple[int, int]:
-    return sum(_unpack(key)), key
-
-
-def _divides(dkey: int, rkey: int) -> bool:
-    diff = rkey - dkey
-    return diff >= 0 and not (diff & _BORROW_MASK)
+def _glex_desc(terms: dict) -> list[tuple[int, int, tuple[int, ...]]]:
+    """(total degree, key, exponents) of each key of terms, in descending
+    graded-lex order: the canonical term order."""
+    return sorted([(sum(e), k, e) for k, e in zip(terms, map(_unpack, terms))],
+                  reverse=True)
 
 
 def _make(terms: dict, den: int) -> "Poly":
@@ -87,10 +80,9 @@ class Poly:
     The form is canonical: no numerator is zero, den > 0, and
     gcd(den, every numerator) == 1, so zero is ({}, 1).  Structural
     equality of (terms, den) is therefore mathematical equality.  The
-    canonical term order used for printing, serialization and
-    leading-term extraction is graded lexicographic with
-    x > z > a0 > a1 > a2 > a3.  The constructor trusts its arguments to be
-    canonical; from_nums normalizes.
+    canonical term order used for printing and serialization is graded
+    lexicographic with x > z > a0 > a1 > a2 > a3.  The constructor trusts
+    its arguments to be canonical; from_nums normalizes.
     """
 
     __slots__ = ("terms", "den")
@@ -344,58 +336,12 @@ class Poly:
                 out[nk] = out.get(nk, 0) + c
         return Poly.from_nums(out, den)
 
-    def exact_div(self, d: "Poly") -> "Poly":
-        """Exact quotient self / d; raises NotDivisibleError otherwise.
-
-        Runs on integers only.  Write d = (c/dd) * P with P primitive (the
-        gcd of its numerators is 1).  When P divides the numerator N of
-        self over the rationals, Gauss's lemma makes N/P integral, so
-        every step of the long division divides the remainder's leading
-        numerator exactly by P's; a step that does not is a remainder.
-        """
-        if not isinstance(d, Poly):
-            d = Poly.rat(d)
-        if d.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        if not self.terms:
-            return _ZERO
-        if len(d.terms) == 1:
-            (dk, dc), = d.terms.items()
-            f = d.den if dc > 0 else -d.den
-            out = {}
-            for k, c in self.terms.items():
-                if not _divides(dk, k):
-                    raise NotDivisibleError(f"{d} does not divide {self}")
-                out[k - dk] = c * f
-            return _make(out, self.den * abs(dc))
-        cont = math.gcd(*d.terms.values())
-        p = {k: c // cont for k, c in d.terms.items()}
-        dk = max(p, key=_glex)
-        lc = p[dk]
-        r = dict(self.terms)
-        q: dict = {}
-        while r:
-            rk = max(r, key=_glex)
-            mc, rem = divmod(r[rk], lc)
-            if rem or not _divides(dk, rk):
-                raise NotDivisibleError("no exact quotient exists")
-            mk = rk - dk
-            q[mk] = mc * d.den
-            for k2, c2 in p.items():
-                kk = mk + k2
-                cur = r.get(kk, 0) - mc * c2
-                if cur:
-                    r[kk] = cur
-                else:
-                    del r[kk]
-        return _make(q, self.den * cont)
-
     # -- presentation ------------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Rat]]:
         """Terms in descending graded-lex order, with unpacked exponents."""
-        keys = sorted(self.terms, key=_glex, reverse=True)
-        return [(_unpack(k), Rat(self.terms[k], self.den)) for k in keys]
+        terms, den = self.terms, self.den
+        return [(e, Rat(terms[k], den)) for _, k, e in _glex_desc(terms)]
 
     def __str__(self):
         if not self.terms:
@@ -433,9 +379,7 @@ class Poly:
         straight from its int numerator."""
         terms, den = self.terms, self.den
         out = []
-        for _, k, e in sorted([(sum(e), k, e) for k, e
-                               in zip(terms, map(_unpack, terms))],
-                              reverse=True):
+        for _, k, e in _glex_desc(terms):
             d = math.gcd(terms[k], den)
             out.append((f"{terms[k] // d}/{den // d}", e))
         return out
@@ -457,6 +401,48 @@ def _coerce(value):
     return NotImplemented
 
 
+def _dense(p: Poly, var: str) -> list[int]:
+    """The int numerators of p's coefficients in var over p.den, leading
+    coefficient first ([] for zero); ValueError when another variable
+    occurs."""
+    nums = p.nums_in(var, p.degree(var) + 1)[::-1]
+    coeffs = [t.pop(0, 0) for t in nums]
+    if any(nums):
+        raise ValueError(f"need a polynomial in {var} alone")
+    return coeffs
+
+
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """The pseudo-remainder m*a mod b, for a nonzero int m, of dense int
+    coefficient lists (leading first, b[0] != 0, len(a) >= len(b)), with
+    its leading zeros stripped; overwrites a.  Each step a <- u a -
+    v var^k b, u/v = b[0]/a[i], clears a[i] and scales a by u != 0, so the
+    rest is m a - s b of degree below b's: m times a mod b over Q."""
+    n = len(b)
+    for i in range(len(a) - n + 1):
+        if a[i]:
+            g = math.gcd(b[0], a[i])
+            u, v = b[0] // g, a[i] // g
+            a[i:i + n] = [u * e - v * f for e, f in zip(a[i:i + n], b)]
+            a[i + n:] = [u * e for e in a[i + n:]]
+    r = a[len(a) - n + 1:]
+    while r and not r[0]:
+        r.pop(0)
+    return r
+
+
+def divides(q: Poly, p: Poly, var: str) -> bool:
+    """Whether q divides p over Q, for p and q in var alone (else
+    ValueError): the pseudo-remainder of p by q, which is p mod q times a
+    nonzero int, is zero.  A zero q raises ZeroDivisionError."""
+    a, b = _dense(p, var), _dense(q, var)
+    if not b:
+        raise ZeroDivisionError("division by the zero polynomial")
+    if len(a) < len(b):
+        return not a
+    return not _prem(a, b)
+
+
 def shares_root(p: Poly, q: Poly, var: str) -> bool:
     """Whether p and q, polynomials in var alone of positive degree (else
     ValueError), have a common root: res_var(p, q) == 0, which over Q holds
@@ -468,25 +454,11 @@ def shares_root(p: Poly, q: Poly, var: str) -> bool:
     changes gcd(a, b) only by a unit of Q, so the sequence ends, at a zero
     remainder, on b = gcd(p, q) up to a unit, or at a constant b.
     """
-    dense = []
-    for poly in (p, q):
-        nums = poly.nums_in(var, poly.degree(var) + 1)[::-1]
-        coeffs = [t.pop(0, 0) for t in nums]  # leading coefficient first
-        if len(coeffs) < 2 or any(nums):  # any(nums): another variable
-            raise ValueError(f"need positive degree in {var} alone")
-        dense.append(coeffs)
-    a, b = sorted(dense, key=len, reverse=True)
+    a, b = sorted((_dense(p, var), _dense(q, var)), key=len, reverse=True)
+    if len(b) < 2:
+        raise ValueError(f"need positive degree in {var}")
     while len(b) > 1:
-        n = len(b)
-        for i in range(len(a) - n + 1):
-            if a[i]:  # a <- u a - v var^k b, u/v = b[0]/a[i]: a[i] -> 0
-                g = math.gcd(b[0], a[i])
-                u, v = b[0] // g, a[i] // g
-                a[i:i + n] = [u * e - v * f for e, f in zip(a[i:i + n], b)]
-                a[i + n:] = [u * e for e in a[i + n:]]
-        r = a[len(a) - n + 1:]
-        while r and not r[0]:
-            r.pop(0)
+        r = _prem(a, b)
         if not r:
             return True
         g = math.gcd(*r)

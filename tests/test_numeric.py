@@ -19,7 +19,8 @@ from weylpair.numeric import (DegenerateDerivativeError, MultipleRootError,
                               _x_slices, roots_z, verify_krichever,
                               verify_potential_recovery)
 from weylpair.poly import Poly, Rat
-from weylpair.qsolver import QPolynomial, build_q, extract_curve
+from weylpair.qsolver import (DegreeError, QPolynomial, XDependenceError,
+                              build_q, extract_curve)
 
 from conftest import random_param_tuple
 
@@ -398,6 +399,37 @@ def test_exact_checks_negative_controls(g):
         assert verify_krichever(qp, bad_curve, None, x0)["pass"] is False
         assert verify_potential_recovery(bad_v, None, x0)["pass"] is False
         assert verify_krichever(bad_v, curve, None, x0)["pass"] is False
+
+
+def _extracts(qp) -> bool:
+    try:
+        extract_curve(qp)
+    except (XDependenceError, DegreeError):
+        return False
+    return True
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
+def test_potential_recovery_decides_extract_curve(g):
+    # deg_z Q = g, lc_z(Q)^2 = 1 and E = 0 decide exactly whether
+    # extract_curve succeeds, on the built V and W and these Q
+    qp = build_q(g, FALSE_FAIL_TUPLE)
+    x, z = Poly.var("x"), Poly.var("z")
+    q = qp.q
+    variants = (q, -q, 2 * q, q * Rat(1, 2), q + 1, q + x,
+                q + x * z**(g - 1), q + z**(g - 1), z * q, Poly.zero())
+    verdicts = []
+    for v in variants:
+        bent = qp._replace(q=v)
+        rep = verify_potential_recovery(bent, None, Rat(1, 2))
+        assert rep["pass"] == _extracts(bent), v
+        verdicts.append(rep["pass"])
+    # -Q passes (lc^2 = 1); z*Q has E = 0 but [z^g](z*Q) = [z^(g-1)]Q
+    assert verdicts[:2] == [True, True] and not any(verdicts[2:])
+    # with V = W = 0 an x-free Q has E = 0, so only the degree decides
+    flat = qp._replace(q=z**(g + 1) + z**g, v=Poly.zero(), w=Poly.zero())
+    assert not _extracts(flat)
+    assert not verify_potential_recovery(flat, None, Rat(1, 2))["pass"]
 
 
 def test_degenerate_sample_points_raise():

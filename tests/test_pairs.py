@@ -607,6 +607,19 @@ def test_commutant_solver_high_genus(g, rng):
     assert is_power_span(basis, pair.l4, g)
 
 
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_commutant_orders_below_companion(g, rng):
+    # the monic orders below 4g+2 that commute with L are 4, 8, ..., 4g:
+    # the span hypothesis of M* = M in the pairs docstring
+    l4 = build_quartic(g, random_param_tuple(rng))
+    for t in range(1, 4 * g + 2):
+        if t % 4 == 0:
+            commutant_solve(l4, t)
+        else:
+            with pytest.raises(ValueError, match="no monic operator"):
+                commutant_solve(l4, t)
+
+
 @pytest.mark.parametrize("g,shift", [(1, 1), (2, 1), (3, 1), (2, -2),
                                      (3, -2)])
 def test_commutant_solver_perturbed_w_has_no_companion(g, shift, rng):

@@ -1,4 +1,5 @@
-"""Core polynomial ring: examples, axioms, and the common-root decider."""
+"""Core polynomial ring: examples, axioms, and the common-root and
+divisibility deciders."""
 
 import json
 import math
@@ -8,7 +9,7 @@ import pytest
 import sympy
 
 from weylpair import poly
-from weylpair.poly import NotDivisibleError, Poly, Rat, shares_root
+from weylpair.poly import Poly, Rat, divides, shares_root
 
 from conftest import (monomial, poly_from_json, random_nonzero_poly,
                       random_poly, random_rat)
@@ -41,19 +42,6 @@ def test_diff_parameter_is_constant():
     assert a3.diff("x").is_zero()
     with pytest.raises(ValueError):
         x.diff("a3")
-
-
-def test_exact_div_monomial():
-    assert (a3**2 * x).exact_div(a3) == a3 * x
-
-
-def test_exact_div_factorization():
-    assert (x**2 - z**2).exact_div(x - z) == x + z
-
-
-def test_exact_div_remainder_raises():
-    with pytest.raises(NotDivisibleError):
-        (x + 1).exact_div(x)
 
 
 def test_eval_examples():
@@ -117,13 +105,6 @@ def test_leibniz_rule_randomized(rng):
             assert (p * q).diff(v) == p.diff(v) * q + p * q.diff(v)
 
 
-def test_exact_div_roundtrip_randomized(rng):
-    for _ in range(200):
-        p = random_poly(rng, vars=("x", "z", "a0"))
-        d = random_nonzero_poly(rng, vars=("x", "z", "a0"))
-        assert (p * d).exact_div(d) == p
-
-
 def test_canonical_independent_of_insertion_order():
     terms = [(Rat(3, 2), {"x": 2}), (Rat(-1), {"z": 1}),
              (Rat(5), {"a0": 1, "x": 1}), (Rat(7, 3), {})]
@@ -176,8 +157,8 @@ def shift_unpack(key: int) -> tuple[int, ...]:
 
 
 def loop_glex(key: int) -> tuple[int, int]:
-    """(total degree, key) with the degree summed 16 bits at a time, as
-    _glex did before: the reference for _glex."""
+    """(total degree, key) with the degree summed 16 bits at a time: the
+    reference for the canonical order, poly._glex_desc."""
     t, k = 0, key
     while k:
         t += k & 0xFFFF
@@ -196,10 +177,13 @@ def test_key_unpacking_matches_field_shifts():
             for v in vecs]
     for v, k in zip(vecs, keys):
         assert poly._unpack(k) == shift_unpack(k) == tuple(v)
-        assert poly._glex(k) == loop_glex(k)
-    assert (sorted(keys, key=poly._glex, reverse=True)
-            == sorted(keys, key=loop_glex, reverse=True))
-    # to_json, sorted_terms, degree and exact_div order terms by the same key
+    distinct = list(dict.fromkeys(keys))
+    order = poly._glex_desc(dict.fromkeys(distinct, 1))
+    assert [k for _, k, _ in order] == sorted(distinct, key=loop_glex,
+                                              reverse=True)
+    assert all((t, e) == (loop_glex(k)[0], shift_unpack(k))
+               for t, k, e in order)
+    # to_json, sorted_terms and degree order terms by the same key
     for _ in range(40):
         p = random_poly(rng, vars=("x", "z", "a0", "a1", "a2", "a3"),
                         max_exp=rng.choice((2, 40)), n_terms=8)
@@ -276,13 +260,26 @@ def big_pairs(seed, n=25, **kw):
         yield p, q
 
 
+def from_terms(terms: dict) -> Poly:
+    """The polynomial of {exponents: Rat}, built by sums of monomials."""
+    out = Poly.zero()
+    for exps, c in terms.items():
+        out = out + monomial(c, dict(zip(ALL, exps)))
+    return out
+
+
 def test_ring_ops_match_sympy():
     for p, q in big_pairs(1):
         sp, sq = to_sympy(p), to_sympy(q)
         assert as_dict(p + q) == from_sympy(sp + sq)
         assert as_dict(p - q) == from_sympy(sp - sq)
         assert as_dict(q - q) == {}
-        assert as_dict(p * q) == from_sympy(sp * sq)
+        prod = p * q
+        assert as_dict(prod) == from_sympy(sp * sq)
+        # the product's canonical form: equal, with equal hash, to the same
+        # polynomial built by sums
+        same = from_terms(from_sympy(sp * sq))
+        assert prod == same and hash(prod) == hash(same)
         assert as_dict(-p) == from_sympy(-sp)
 
 
@@ -319,24 +316,6 @@ def test_diff_and_coeffs_in_match_sympy():
             for e, c in enumerate(got):
                 assert as_dict(c) == expect.get(e, {})
                 assert c == p.coeff_in(v, e)
-
-
-def test_exact_div_matches_sympy():
-    rng = random.Random(5)
-    for i in range(30):
-        p = big_poly(rng, vars=("x", "z", "a0"), n_terms=4)
-        d = big_poly(rng, vars=("x", "z", "a0"), n_terms=1 + i % 3)
-        if d.is_zero():
-            continue
-        prod = p * d
-        assert as_dict(prod.exact_div(d)) == from_sympy(
-            sympy.div(to_sympy(prod), to_sympy(d))[0])
-        quo, rem = sympy.div(to_sympy(p), to_sympy(d))
-        if rem.is_zero:
-            assert as_dict(p.exact_div(d)) == from_sympy(quo)
-        else:
-            with pytest.raises(NotDivisibleError):
-                p.exact_div(d)
 
 
 def test_eval_matches_sympy():
@@ -405,6 +384,60 @@ def test_shares_root_with_derivative_matches_sympy_discriminant():
     assert not shares_root(z**2 + 1, 2 * z, "z")
 
 
+def sympy_divides(q: Poly, p: Poly) -> bool:
+    return sympy.rem(to_sympy(p).as_expr(), to_sympy(q).as_expr(),
+                     GENS[1]) == 0
+
+
+def test_divides_matches_sympy():
+    # divides against sympy's rem == 0, on p and q in z alone with random
+    # non-monic rational leading coefficients; every other p is a multiple
+    rng = random.Random(13)
+    for i in range(40):
+        q = big_poly(rng, vars=("z",), max_exp=3, n_terms=3, bits=30)
+        q = q + Rat(rng.randint(-99, 99) or 1, rng.randint(1, 99)) * z**4
+        if i % 2 == 0:
+            c = big_poly(rng, vars=("z",), max_exp=2, n_terms=3, bits=20)
+            p = q * (c + Rat(rng.randint(1, 99), rng.randint(1, 99)) * z**3)
+        else:
+            p = big_poly(rng, vars=("z",), max_exp=6, n_terms=4, bits=30)
+            p = p + Rat(-(rng.randint(1, 99)), rng.randint(1, 99)) * z**7
+        assert divides(q, p, "z") == sympy_divides(q, p) == (i % 2 == 0)
+    # sparse pairs, with zero coefficients below the leading one
+    for q, p, ok in ((z**2 + 1, z**4 - 1, True), (z**2 + 1, z**4 + 1, False),
+                     (3 * z**2, z**5, True), (z**3, z**5 + z**2, False),
+                     (z**2 - 2, Rat(1, 2) * z**6 - 4, True),
+                     (z - Rat(2, 3), 9 * z**3 - 8, False)):
+        assert divides(q, p, "z") == sympy_divides(q, p) == ok
+
+
+def test_divides_edge_cases():
+    # another variable in p or q
+    for q, p in ((z, x * z), (x + z, z), (a0 * z, z**2), (z, x)):
+        with pytest.raises(ValueError):
+            divides(q, p, "z")
+    with pytest.raises(ZeroDivisionError):
+        divides(Poly.zero(), z**2 + 1, "z")
+    with pytest.raises(ZeroDivisionError):
+        divides(Poly.zero(), Poly.zero(), "z")
+    # a zero p is divisible by every nonzero q
+    for q in (z, 3 * z**2 - 1, Poly.rat(Rat(-2, 5))):
+        assert divides(q, Poly.zero(), "z")
+    # a nonzero constant q divides every p
+    for p in (Poly.one(), Rat(3, 7) * z**5 - z, z**3 + 2):
+        assert divides(Poly.rat(Rat(-2, 5)), p, "z")
+    # deg p < deg q: only the zero p divides; most of these p end in zero
+    # coefficients, which a remainder sliced from a too short p would read
+    for q, p in ((z**3 + 1, z), (z**4 + 1, z**2 + z), (z**5, 3 * z**2),
+                 (z**2 + 1, Poly.one()), (z**4 - 1, 2 * z**3 - 1),
+                 (z**2, Poly.rat(5))):
+        assert not divides(q, p, "z") and not sympy_divides(q, p)
+    # a monomial q divides the monomials of no lower degree only
+    for k in range(4):
+        for e in range(6):
+            assert divides(Rat(7, 3) * z**k, -z**e, "z") == (e >= k)
+
+
 def test_rat_is_canonical():
     assert Poly.rat(Rat(2, 4)) == Poly.rat(Rat(1, 2))
     assert Poly.rat(Rat(2, 4)).den == 2
@@ -412,11 +445,3 @@ def test_rat_is_canonical():
     assert Poly.zero().den == 1 and Poly.rat(0).den == 1
     assert (x * Rat(1, 3) - x * Rat(1, 3)).den == 1
 
-
-def test_exact_div_roundtrip_keeps_hash():
-    for p, q in big_pairs(8, n=20):
-        if q.is_zero():
-            continue
-        back = (p * q).exact_div(q)
-        assert back == p and hash(back) == hash(p)
-        assert_canonical(back)

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -38,3 +40,19 @@ def test_ab_launch_one_round():
     assert len(fields) == 7 and fields[2] == "0.0"
     assert fields[4] in ("0/1", "1/1")
     assert all(float(f) > 0 for f in fields[5:])
+
+
+@pytest.mark.parametrize("tool, args", [
+    ("ab_inprocess.py", ["qsolver.build_q", "(1,)"]),
+    ("ab_launch.py", ["--", "construct", "--genus", "1"])])
+@pytest.mark.parametrize("rounds", ["0", "-3"])
+def test_ab_tools_reject_rounds_below_one(tool, args, rounds):
+    # argparse's usage error, before anything is loaded or launched
+    src = str(ROOT / "src")
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / tool), src, src,
+         "--rounds", rounds, *args],
+        capture_output=True, text=True, timeout=60)
+    assert run.returncode == 2 and run.stdout == ""
+    assert "usage:" in run.stderr and "--rounds" in run.stderr
+    assert "Traceback" not in run.stderr

@@ -42,13 +42,20 @@ def plain(obj):
     return obj
 
 
+def positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("base")
     ap.add_argument("new")
     ap.add_argument("function", help="module.function, e.g. qsolver.build_q")
     ap.add_argument("args", nargs="+", help="argument tuples as literals")
-    ap.add_argument("--rounds", type=int, default=11)
+    ap.add_argument("--rounds", type=positive_int, default=11)
     opts = ap.parse_args(argv)
     module, func = opts.function.rsplit(".", 1)
     sides = [getattr(load(src, name, module), func)

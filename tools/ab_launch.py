@@ -35,11 +35,18 @@ def launch(src: str, argv: list[str]) -> tuple[float, float, int, bytes]:
     return seconds, usage.ru_maxrss / 1024, proc.returncode, out
 
 
+def positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("base")
     ap.add_argument("new")
-    ap.add_argument("--rounds", type=int, default=30)
+    ap.add_argument("--rounds", type=positive_int, default=30)
     ap.add_argument("argv", nargs="+", help="the weylpair command line")
     opts = ap.parse_args(argv)
     srcs = (opts.base, opts.new)
