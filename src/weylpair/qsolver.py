@@ -14,6 +14,10 @@ x-derivatives).  This module builds Q coefficient-by-coefficient from the
 fifth-order linear ODE obtained by differentiating (*), by a recursion
 that divides by nothing, extracts F, and provides exact residual checks
 for every identity involved.
+
+(*) is written once, in curve_rhs_jet, on the jet of Q, V and W.  Since
+d/dx rhs(*) = 2Q E, E the fifth-order residual, extract_curve decides
+x-freeness by E and reads F off the jet at x = 0.
 """
 
 from __future__ import annotations
@@ -134,9 +138,8 @@ def build_q(g: int, params: dict | None = None) -> QPolynomial:
     2z delta_{s+1} raises the z-degree, so the z^g coefficient is that of
     delta_0, the nonzero rational prod_{s<g} 2(s+1) / ((g-s)(s+g+1)(2s+1))."""
     deltas = build_deltas(g, params)
-    raw = Poly.zero()
-    for s, d in enumerate(deltas):
-        raw = raw + d * Poly.var("x", s)
+    raw = sum((d * Poly.var("x", s) for s, d in enumerate(deltas)),
+              Poly.zero())
     q = raw * Poly.rat(1 / deltas[0].coeff_in("z", g).const_value())
     v, w = potentials(g, resolve_alphas(params))
     return QPolynomial(g=g, deltas=tuple(deltas), q=q, v=v, w=w)
@@ -150,40 +153,42 @@ def _x_derivs(q: Poly, n: int) -> list[Poly]:
     return out
 
 
-def curve_rhs(q: Poly, v: Poly, w: Poly) -> Poly:
-    """Right-hand side of (*): the expression that must equal 4*F(z),
-    regrouped as three products of Q-sized factors,
+def curve_rhs_jet(q, q1, q2, q3, q4, v, v1, w) -> Poly:
+    """Right-hand side of (*), which must equal 4*F(z), on the jet: Q, Q',
+    ..., Q'''' and V, V', W as polynomials in x, or their values at one x.
+    Regrouped as three products of Q-sized factors,
 
         Q*(4(z - W)Q + 4V'Q' + 8VQ'' + 2Q'''') - Q'*(4VQ' + 2Q''') + Q''^2.
     """
     z = Poly.var("z")
-    d = _x_derivs(q, 4)
-    return (d[0] * (4 * (z - w) * d[0] + 4 * v.diff("x") * d[1]
-                    + 8 * v * d[2] + 2 * d[4])
-            - d[1] * (4 * v * d[1] + 2 * d[3]) + d[2] ** 2)
+    return (q * (4 * (z - w) * q + 4 * v1 * q1 + 8 * v * q2 + 2 * q4)
+            - q1 * (4 * v * q1 + 2 * q3) + q2 ** 2)
+
+
+def curve_rhs(q: Poly, v: Poly, w: Poly) -> Poly:
+    """Right-hand side of (*) for all x: curve_rhs_jet on the polynomials."""
+    return curve_rhs_jet(*_x_derivs(q, 4), v, v.diff("x"), w)
 
 
 def extract_curve(qp: QPolynomial) -> SpectralCurve:
-    """Evaluate (*) on Q and read off the spectral polynomial F.
-
-    The result must be x-free (a strong internal consistency check) and
-    monic of degree 2g+1 in z; violations abort with XDependenceError or
-    DegreeError.
-    """
+    """F = rhs(*)/4.  d/dx rhs(*) = 2Q E for every Q, V and W, with E =
+    derived_ode_residual(qp), so rhs(*) is x-free exactly when E = 0 (Q = 0
+    gives E = 0 and F = 0), else XDependenceError.  An x-free rhs(*) is its
+    value at x = 0, where F is read off the jet; it must be monic of degree
+    2g+1 in z, else DegreeError."""
     g = qp.g
-    f4 = curve_rhs(qp.q, qp.v, qp.w)
-    f = f4 * Poly.rat(Rat(1, 4))
-    if f.degree("x") > 0:
+    if not derived_ode_residual(qp).is_zero():
         raise XDependenceError(
             "spectral polynomial retained x-dependence; Q does not satisfy "
             "the defining identity")
+    jet = (*_x_derivs(qp.q, 4), qp.v, qp.v.diff("x"), qp.w)
+    f = curve_rhs_jet(*(p.coeff_in("x", 0) for p in jet)) * Poly.rat(Rat(1, 4))
     dz = f.degree("z")
     if dz != 2 * g + 1:
         raise DegreeError(f"expected degree {2*g+1} in z, got {dz}")
-    lead = f.coeff_in("z", dz)
-    if not (lead.is_constant() and lead.const_value() == 1):
+    *coeffs, lead = f.coeffs_in("z")
+    if lead != 1:
         raise DegreeError(f"spectral polynomial not monic: lead = {lead}")
-    coeffs = [f.coeff_in("z", i) for i in range(2 * g + 1)]
     return SpectralCurve(g=g, coeffs=tuple(coeffs))
 
 
@@ -206,13 +211,11 @@ def derived_ode_residual(qp: QPolynomial) -> Poly:
     Zero exactly when Q solves the equation; any scalar multiple of a
     solution also gives zero.
     """
-    z = Poly.var("z")
-    q, v, w = qp.q, qp.v, qp.w
-    d = _x_derivs(q, 5)
-    return (d[5] + 4 * v * d[3]
+    z, v, w = Poly.var("z"), qp.v, qp.w
+    d = _x_derivs(qp.q, 5)
+    return (d[5] + 4 * v * d[3] + 6 * v.diff("x") * d[2]
             + 2 * d[1] * (2 * z - 2 * w + v.diff("x").diff("x"))
-            + 6 * v.diff("x") * d[2]
-            - 2 * q * w.diff("x"))
+            - 2 * d[0] * w.diff("x"))
 
 
 # the q_ode check and the derived_ode check are the same residual

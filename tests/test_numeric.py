@@ -18,9 +18,9 @@ from weylpair.curve import ParamError, SpectralCurve
 from weylpair.numeric import (DegenerateDerivativeError, MultipleRootError,
                               _x_slices, roots_z, verify_krichever,
                               verify_potential_recovery)
-from weylpair.poly import Poly, Rat
+from weylpair.poly import Poly, Rat, divides, shares_root
 from weylpair.qsolver import (DegreeError, QPolynomial, XDependenceError,
-                              build_q, extract_curve)
+                              build_q, derived_ode_residual, extract_curve)
 
 from conftest import random_param_tuple
 
@@ -409,10 +409,21 @@ def _extracts(qp) -> bool:
     return True
 
 
+def _has_curve_shape(qp) -> bool:
+    """The second oracle: (*) gives an x-free F, monic of degree 2g+1,
+    exactly when deg_z Q = g, lc_z(Q)^2 = 1 and E = 0, since d/dx rhs(*)
+    = 2Q E and only 4z Q^2 reaches z^(2 deg_z Q + 1), where rhs(*) has the
+    coefficient 4 lc_z(Q)^2."""
+    lead = qp.q.coeff_in("z", qp.g)
+    return (qp.q.degree("z") == qp.g and lead * lead == 1
+            and derived_ode_residual(qp).is_zero())
+
+
 @pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
 def test_potential_recovery_decides_extract_curve(g):
-    # deg_z Q = g, lc_z(Q)^2 = 1 and E = 0 decide exactly whether
-    # extract_curve succeeds, on the built V and W and these Q
+    # recovery passes exactly when extract_curve succeeds, which in turn
+    # is exactly deg_z Q = g, lc_z(Q)^2 = 1 and E = 0, on the built V and
+    # W and these Q
     qp = build_q(g, FALSE_FAIL_TUPLE)
     x, z = Poly.var("x"), Poly.var("z")
     q = qp.q
@@ -422,14 +433,66 @@ def test_potential_recovery_decides_extract_curve(g):
     for v in variants:
         bent = qp._replace(q=v)
         rep = verify_potential_recovery(bent, None, Rat(1, 2))
-        assert rep["pass"] == _extracts(bent), v
+        assert rep["pass"] == _extracts(bent) == _has_curve_shape(bent), v
         verdicts.append(rep["pass"])
     # -Q passes (lc^2 = 1); z*Q has E = 0 but [z^g](z*Q) = [z^(g-1)]Q
     assert verdicts[:2] == [True, True] and not any(verdicts[2:])
     # with V = W = 0 an x-free Q has E = 0, so only the degree decides
     flat = qp._replace(q=z**(g + 1) + z**g, v=Poly.zero(), w=Poly.zero())
-    assert not _extracts(flat)
+    assert not _extracts(flat) and not _has_curve_shape(flat)
     assert not verify_potential_recovery(flat, None, Rat(1, 2))["pass"]
+
+
+def krichever_by_p(qp, curve, x0) -> bool:
+    """The coupling as decided before verify_krichever read (*) through
+    qsolver.curve_rhs_jet, the oracle: Q(x0, .) divides P = Qxx^2 -
+    2 Qx Qxxx - 4F - 4V Qx^2, after the same three genericity checks."""
+    f = curve.as_poly()
+    q = roots_z(qp, None, x0)  # MultipleRootError
+    if shares_root(q, f, "z"):  # F is monic of degree 2g+1 here
+        raise DegenerateDerivativeError("branch point")
+    q, qx, qxx, qxxx = _x_slices(qp, x0, 3)  # DegenerateDerivativeError
+    v = qp.v.eval({"x": x0})
+    return divides(q, qxx * qxx - 2 * qx * qxxx - 4 * f - 4 * v * qx * qx,
+                   "z")
+
+
+def _coupling_outcome(check, *args):
+    try:
+        return check(*args)
+    except (MultipleRootError, DegenerateDerivativeError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_krichever_matches_p_divisibility(g):
+    # Q(x0, .) divides C(x0, .) = 4F - rhs(*)(x0, .) exactly when it
+    # divides P, since P = -C - Q G: the same verdict, or the same
+    # exception, on the built pair and on F + z^k (k = 0 and g), V + 1 and
+    # Q + x z^(g-1), at the parameters of a correct pair and of seed 503's
+    # degenerate sample point
+    x, z = Poly.var("x"), Poly.var("z")
+    outcomes = []
+    for params in (FALSE_FAIL_TUPLE, {"a0": 1, "a1": 1, "a2": -5, "a3": -2}):
+        qp = build_q(g, params)
+        curve = extract_curve(qp)
+        cases = [(qp, curve), (qp._replace(v=qp.v + 1), curve),
+                 (qp._replace(q=qp.q + x * z**(g - 1)), curve)]
+        for k in (0, g):
+            coeffs = list(curve.coeffs)
+            coeffs[k] = coeffs[k] + 1
+            cases.append((qp, SpectralCurve(g=g, coeffs=tuple(coeffs))))
+        for x0 in (Rat(1, 2), Rat(3, 2)):
+            for bent, bent_curve in cases:
+                new = _coupling_outcome(
+                    lambda *a: verify_krichever(*a)["pass"],
+                    bent, bent_curve, None, x0)
+                assert new == _coupling_outcome(krichever_by_p, bent,
+                                                bent_curve, x0)
+                outcomes.append(new)
+    # both verdicts occur, and seed 503's tuple raises at x0 = 1/2 (g = 1)
+    assert True in outcomes and False in outcomes
+    assert (DegenerateDerivativeError in outcomes) == (g == 1)
 
 
 def test_degenerate_sample_points_raise():

@@ -6,10 +6,11 @@ import json
 import pytest
 import sympy
 
-from weylpair.curve import ParamError
+from weylpair.curve import ParamError, SpectralCurve
 from weylpair.poly import Poly, Rat
-from weylpair.qsolver import (QPolynomial, XDependenceError, build_deltas,
-                              build_q, curve_identity_residual, curve_rhs, derived_ode_residual, extract_curve,
+from weylpair.qsolver import (DegreeError, QPolynomial, XDependenceError,
+                              build_deltas, build_q, curve_identity_residual,
+                              curve_rhs, derived_ode_residual, extract_curve,
                               q_ode_residual, resolve_alphas,
                               trace_identity_residual)
 
@@ -250,6 +251,101 @@ def test_curve_rhs_matches_five_products(variables, rng):
     params = None if len(variables) > 2 else random_param_tuple(rng)
     qp = build_q(3, params)
     assert curve_rhs(qp.q, qp.v, qp.w) == five_product_rhs(qp.q, qp.v, qp.w)
+
+
+def full_rhs_extract(qp: QPolynomial) -> SpectralCurve:
+    """extract_curve's earlier reading, the oracle: F = rhs(*)/4 formed for
+    all x (by five_product_rhs), then the x-free, degree and monic tests,
+    with extract_curve's exceptions and messages."""
+    g = qp.g
+    f = five_product_rhs(qp.q, qp.v, qp.w) * Poly.rat(Rat(1, 4))
+    if f.degree("x") > 0:
+        raise XDependenceError(
+            "spectral polynomial retained x-dependence; Q does not satisfy "
+            "the defining identity")
+    dz = f.degree("z")
+    if dz != 2 * g + 1:
+        raise DegreeError(f"expected degree {2*g+1} in z, got {dz}")
+    lead = f.coeff_in("z", dz)
+    if not (lead.is_constant() and lead.const_value() == 1):
+        raise DegreeError(f"spectral polynomial not monic: lead = {lead}")
+    return SpectralCurve(g=g, coeffs=tuple(f.coeff_in("z", i)
+                                           for i in range(2 * g + 1)))
+
+
+def extraction_outcome(extract, qp):
+    """The curve, or the class and message of the exception raised."""
+    try:
+        return extract(qp)
+    except (XDependenceError, DegreeError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("symbolic", [False, True],
+                         ids=["numeric-g1..8", "symbolic-g1..4"])
+def test_extract_matches_full_rhs_reading(symbolic, rng):
+    # extract_curve decides by E and reads F at x = 0; the oracle forms
+    # rhs(*) on the full Q: the same curve on every built Q
+    for g in range(1, 5 if symbolic else 9):
+        qp = build_q(g, None if symbolic else random_param_tuple(rng))
+        curve = extract_curve(qp)
+        assert curve == full_rhs_extract(qp)
+        assert (curve.as_poly().degree("a0") > 0) == symbolic
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
+def test_extract_rejections_match_full_rhs_reading(g, rng):
+    # on Q that (*) does not fit, the same exception class and message;
+    # -Q extracts the same curve, and Q = 0 has degree -1
+    qp = build_q(g, random_param_tuple(rng))
+    q = qp.q
+    variants = {"Q+x": q + x, "Q+x*z^(g-1)": q + x * z**(g - 1),
+                "Q+z^(g-1)": q + z**(g - 1), "z*Q": z * q, "Q+1": q + 1,
+                "2Q": 2 * q, "Q/2": q * Rat(1, 2), "-Q": -q,
+                "0": Poly.zero()}
+    for label, v in variants.items():
+        bent = qp._replace(q=v)
+        new = extraction_outcome(extract_curve, bent)
+        assert new == extraction_outcome(full_rhs_extract, bent), label
+        assert isinstance(new, SpectralCurve) == (label == "-Q"), label
+    assert extract_curve(qp._replace(q=-q)) == extract_curve(qp)
+    with pytest.raises(DegreeError, match="got -1"):
+        extract_curve(qp._replace(q=Poly.zero()))
+
+
+def test_curve_residual_lemmas():
+    """The two lemmas on C = 4F - rhs(*), for undetermined functions of x.
+
+    d/dx rhs(*) = 2Q E, E the fifth-order residual (derived_ode_residual),
+    for every Q, V and W.  So rhs(*) is x-free exactly when E = 0 (Q != 0),
+    which is why extract_curve may decide x-freeness by E and read F at
+    x = 0.  And for Q = z^g + sum_{j<g} q_j(x) z^j and a monic F with
+    symbolic coefficients c_k, [z^(2g+1)]C = 0 and [z^(2g)]C = 4 (W -
+    2 q_{g-1} + c_{2g}): trace_identity is a coefficient of C.
+    """
+    sx, sz = sympy.symbols("x z")
+    vf, wf = sympy.Function("V")(sx), sympy.Function("W")(sx)
+
+    def rhs(q):
+        d = [sympy.diff(q, sx, k) for k in range(5)]
+        return (4 * (sz - wf) * d[0]**2 - 4 * vf * d[1]**2 + d[2]**2
+                - 2 * d[1] * d[3]
+                + 2 * d[0] * (2 * vf.diff(sx) * d[1] + 4 * vf * d[2] + d[4]))
+
+    q = sympy.Function("q")(sx)
+    e = (q.diff(sx, 5) + 4 * vf * q.diff(sx, 3)
+         + 2 * q.diff(sx) * (2 * sz - 2 * wf + vf.diff(sx, 2))
+         + 6 * vf.diff(sx) * q.diff(sx, 2) - 2 * q * wf.diff(sx))
+    assert sympy.expand(rhs(q).diff(sx) - 2 * q * e) == 0
+    for g in range(1, 5):
+        qs = [sympy.Function(f"q{j}")(sx) for j in range(g)]
+        cs = sympy.symbols(f"c0:{2 * g + 1}")
+        big_q = sz**g + sum(qj * sz**j for j, qj in enumerate(qs))
+        f = sz**(2 * g + 1) + sum(c * sz**k for k, c in enumerate(cs))
+        c_res = sympy.Poly(sympy.expand(4 * f - rhs(big_q)), sz)
+        assert c_res.coeff_monomial(sz**(2 * g + 1)) == 0
+        trace = wf - 2 * qs[g - 1] + cs[2 * g]
+        assert sympy.expand(c_res.coeff_monomial(sz**(2 * g)) - 4 * trace) == 0
 
 
 def test_curve_identity_genus1():

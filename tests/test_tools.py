@@ -56,3 +56,62 @@ def test_ab_tools_reject_rounds_below_one(tool, args, rounds):
     assert run.returncode == 2 and run.stdout == ""
     assert "usage:" in run.stderr and "--rounds" in run.stderr
     assert "Traceback" not in run.stderr
+
+
+def test_ab_launch_refuses_error_exits():
+    # construct --genus 0 is the CLI's usage error (exit 2): timing it would
+    # time argparse, so the tool stops with exit 1 and names the code
+    src = str(ROOT / "src")
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab_launch.py"), src, src,
+         "--rounds", "2", "--", "construct", "--genus", "0"],
+        capture_output=True, text=True, timeout=60)
+    assert run.returncode == 1 and run.stdout == ""
+    assert "exited 2" in run.stderr and "Traceback" not in run.stderr
+
+
+def test_ab_launch_times_failed_checks():
+    # exit 1 is a failed check (the degenerate sample point of seed 503),
+    # which both sides report alike: it is timed
+    src = str(ROOT / "src")
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab_launch.py"), src, src,
+         "--rounds", "1", "--", "verify", "--genus", "1",
+         "--alpha", "a0=1,a1=1,a2=-5,a3=-2"],
+        capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert len(run.stdout.splitlines()) == 2
+
+
+def _tree(root: Path, value: int) -> str:
+    """A source tree whose weylpair.m.f() returns value."""
+    pkg = root / "weylpair"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("")
+    (pkg / "m.py").write_text(f"def f():\n    return {value}\n")
+    return str(root)
+
+
+@pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["plain", "-O"])
+def test_ab_inprocess_refuses_unequal_results(tmp_path, optimize):
+    # an explicit check, so python -O cannot turn it into a timed speedup
+    run = subprocess.run(
+        [sys.executable, *optimize, str(ROOT / "tools" / "ab_inprocess.py"),
+         _tree(tmp_path / "a", 1), _tree(tmp_path / "b", 2), "m.f", "()",
+         "--rounds", "1"],
+        capture_output=True, text=True, timeout=60)
+    assert run.returncode == 1
+    assert "results differ for ()" in run.stderr
+    assert len(run.stdout.splitlines()) == 1  # the header, no timing row
+
+
+@pytest.mark.parametrize("function", ["weylpair.qsolver.build_q",
+                                      "build_q", "qsolver.no_such"])
+def test_ab_inprocess_rejects_bad_function_name(function):
+    src = str(ROOT / "src")
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab_inprocess.py"), src, src,
+         function, "(1,)", "--rounds", "1"],
+        capture_output=True, text=True, timeout=60)
+    assert run.returncode == 2 and run.stdout == ""
+    assert "usage:" in run.stderr and "Traceback" not in run.stderr

@@ -6,10 +6,12 @@
 Each tree's `weylpair` is loaded under its own package name, so both live
 in one interpreter.  For each argument tuple (a Python literal) the two
 results must be equal, compared through `to_json()` where an object has
-one; then the sides alternate for --rounds rounds, each timing enough
-calls to take about 10 ms, as the first call's time predicts.  Per tuple
-it prints both medians per call, the base's IQR, the ratio new/base and
-the rounds in which the new side was faster.
+one, or the run stops with exit 1; then the sides alternate for --rounds
+rounds, each timing enough calls to take about 10 ms, as the first call's
+time predicts.  Per tuple it prints both medians per call, the base's
+IQR, the ratio new/base and the rounds in which the new side was faster.
+The function is named as module.function of the package, without the
+`weylpair.` prefix; a name that is not one is a usage error (exit 2).
 """
 
 import argparse
@@ -57,16 +59,25 @@ def main(argv=None) -> int:
     ap.add_argument("args", nargs="+", help="argument tuples as literals")
     ap.add_argument("--rounds", type=positive_int, default=11)
     opts = ap.parse_args(argv)
-    module, func = opts.function.rsplit(".", 1)
-    sides = [getattr(load(src, name, module), func)
-             for src, name in ((opts.base, "ab_base"), (opts.new, "ab_new"))]
+    module, _, func = opts.function.rpartition(".")
+    sides = []
+    for src, name in ((opts.base, "ab_base"), (opts.new, "ab_new")):
+        if not (Path(src) / "weylpair" / f"{module}.py").is_file():
+            ap.error(f"{opts.function} names no module of {src}/weylpair; "
+                     f"name it as module.function, e.g. qsolver.build_q")
+        side = getattr(load(src, name, module), func, None)
+        if side is None:
+            ap.error(f"no function {func} in {src}'s weylpair.{module}")
+        sides.append(side)
     print("args  base_ms  new_ms  base_iqr_ms  ratio  new_faster")
     for text in opts.args:
         args = ast.literal_eval(text)
         t = time.perf_counter()
         results = [plain(f(*args)) for f in sides]
         number = max(1, int(0.02 / (time.perf_counter() - t)))
-        assert results[0] == results[1], f"results differ for {text}"
+        if results[0] != results[1]:
+            print(f"results differ for {text}", file=sys.stderr)
+            return 1
         times = ([], [])
         for r in range(opts.rounds):
             for i in ((0, 1) if r % 2 == 0 else (1, 0)):

@@ -7,9 +7,12 @@ Each round launches `python -m weylpair.cli ARGV` once per tree, in
 alternating order, with the tree on PYTHONPATH and the caller's
 environment otherwise (so PYTHONDONTWRITEBYTECODE, if set, makes every
 launch compile the tree).  Both launches must exit alike with the same
-stdout.  It prints each side's median wall time and peak RSS, the base's
-IQR, the ratio new/base and the rounds in which the new side was faster:
-the launch cost that tools/ab_inprocess.py cannot see.
+stdout, and with 0 (every check passed) or 1 (a check failed).  Any other
+code, such as the CLI's 2 (usage or parameter error) or 3 (internal
+error), would time an error path, so it stops the run with exit 1 and is
+named on stderr.  It prints each side's median wall time and peak RSS,
+the base's IQR, the ratio new/base and the rounds in which the new side
+was faster: the launch cost that tools/ab_inprocess.py cannot see.
 """
 
 import argparse
@@ -56,6 +59,10 @@ def main(argv=None) -> int:
         runs = {}
         for i in ((0, 1) if r % 2 == 0 else (1, 0)):
             seconds, mb, code, out = launch(srcs[i], opts.argv)
+            if code not in (0, 1):
+                print(f"round {r}: {('base', 'new')[i]} exited {code}; only "
+                      f"exits 0 and 1 are timed", file=sys.stderr)
+                return 1
             times[i].append(seconds * 1e3)
             rss[i].append(mb)
             runs[i] = (code, out)
