@@ -20,6 +20,15 @@ consistency error.
 
 from __future__ import annotations
 
+# the standard library and the error types only: each command imports its
+# layer after argparse has accepted the command line, so --help, a usage
+# or parameter error and an unwritable --out compile no mathematics.  The
+# layers then compile (no cached bytecode) with argparse loaded, which
+# puts a command's own peak RSS 0.2-0.4 MB above compiling them first
+# (tools/ab_launch.py mb: verify g=4 15.9 MB, construct g=12 17.0 MB,
+# --help 14.8 MB); the benchmark's peak_rss_mb reads the runner's mark of
+# about 20.5-21 MB instead, which these launches stay below
+import argparse
 import errno
 import os
 import sys
@@ -28,20 +37,8 @@ import time
 # the json package, its decoder and scanner, about 3 ms per launch
 from _json import encode_basestring_ascii
 
-from .curve import PARAM_NAMES, ParamError, SpectralCurve, is_nonsingular
-from .pairs import (OperatorPair, build_pair, quartic_from_potentials,
-                    verify_commutation, verify_square_identity)
-from .weyl import DiffOp, is_self_adjoint
-from .poly import NVARS, Poly, Rat
-from .qsolver import (DegenerateDerivativeError, DegreeError,
-                      MultipleRootError, XDependenceError,
-                      curve_identity_residual, q_ode_residual,
-                      trace_identity_residual)
-# imported after the package modules: compiling them (no cached bytecode)
-# with argparse loaded read 0.15-0.25 MB more peak RSS.  numeric verify
-# compiles its one own layer, weylpair.numeric, after it, in _checks_for,
-# and examples its weylpair.reference, in cmd_examples
-import argparse
+from .errors import (PARAM_NAMES, DegenerateDerivativeError, DegreeError,
+                     MultipleRootError, ParamError, XDependenceError)
 
 INTERNAL_ERRORS = (XDependenceError, DegreeError, MultipleRootError,
                    DegenerateDerivativeError)
@@ -66,8 +63,9 @@ def _parse_alpha(text: str) -> dict:
         seen.add(name)
         if value in ("sym", "symbolic"):
             continue
+        from fractions import Fraction  # weylpair.poly.Rat, loaded here
         try:
-            params[name] = Rat(value)
+            params[name] = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParamError(f"bad rational {value!r} for {name}") from exc
     return params
@@ -141,36 +139,43 @@ def _check_out(out_path: str | None) -> None:
     raise ParamError(f"cannot write --out {out_path}: {os.strerror(err)}")
 
 
-def _dumps(obj, ind: str = "") -> str:
-    """json.dumps(obj, indent=1, sort_keys=True), which with indent set
+def _dumps(doc) -> str:
+    """json.dumps(doc, indent=1, sort_keys=True), which with indent set
     runs a pure-Python encoder, for dicts with str keys, lists, tuples,
     str, int, bool, None and Polys (as to_json()); else a TypeError."""
-    if isinstance(obj, Poly):
-        # the bytes of _dumps(obj.to_json(), ind), with no dict per term
-        i2, i3, i4 = ind + "  ", ind + "   ", ind + "    "
-        term = (f'{{\n{i3}"c": "%s",\n{i3}"e": [\n{i4}'
-                + f",\n{i4}".join(["%d"] * NVARS) + f"\n{i3}]\n{i2}}}")
-        body = f",\n{i2}".join([term % (c, *e) for c, e in obj.json_terms()])
-        return (f'{{\n{ind} "terms": '
-                + (f"[\n{i2}{body}\n{ind} ]" if body else "[]") + f"\n{ind}}}")
-    if isinstance(obj, int):
-        return ("true" if obj is True else "false" if obj is False
-                else int.__repr__(obj))
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is None:
-        return "null"
-    inner = ind + " "
-    sep = ",\n" + inner
-    if isinstance(obj, (list, tuple)):
-        body = sep.join([_dumps(v, inner) for v in obj])
-        return f"[\n{inner}{body}\n{ind}]" if obj else "[]"
-    if isinstance(obj, dict):
-        # encode_basestring_ascii raises TypeError on a non-str key
-        body = sep.join([encode_basestring_ascii(k) + ": "
-                         + _dumps(obj[k], inner) for k in sorted(obj)])
-        return f"{{\n{inner}{body}\n{ind}}}" if obj else "{}"
-    raise TypeError(f"{type(obj).__name__} is not emitted as JSON")
+    from .poly import NVARS, Poly
+
+    def dumps(obj, ind: str) -> str:
+        if isinstance(obj, Poly):
+            # the bytes of dumps(obj.to_json(), ind), with no dict per term
+            i2, i3, i4 = ind + "  ", ind + "   ", ind + "    "
+            term = (f'{{\n{i3}"c": "%s",\n{i3}"e": [\n{i4}'
+                    + f",\n{i4}".join(["%d"] * NVARS) + f"\n{i3}]\n{i2}}}")
+            body = f",\n{i2}".join([term % (c, *e)
+                                     for c, e in obj.json_terms()])
+            return (f'{{\n{ind} "terms": '
+                    + (f"[\n{i2}{body}\n{ind} ]" if body else "[]")
+                    + f"\n{ind}}}")
+        if isinstance(obj, int):
+            return ("true" if obj is True else "false" if obj is False
+                    else int.__repr__(obj))
+        if isinstance(obj, str):
+            return encode_basestring_ascii(obj)
+        if obj is None:
+            return "null"
+        inner = ind + " "
+        sep = ",\n" + inner
+        if isinstance(obj, (list, tuple)):
+            body = sep.join([dumps(v, inner) for v in obj])
+            return f"[\n{inner}{body}\n{ind}]" if obj else "[]"
+        if isinstance(obj, dict):
+            # encode_basestring_ascii raises TypeError on a non-str key
+            body = sep.join([encode_basestring_ascii(k) + ": "
+                             + dumps(obj[k], inner) for k in sorted(obj)])
+            return f"{{\n{inner}{body}\n{ind}}}" if obj else "{}"
+        raise TypeError(f"{type(obj).__name__} is not emitted as JSON")
+
+    return dumps(doc, "")
 
 
 def _emit(doc: dict, out_path: str | None) -> None:
@@ -189,6 +194,7 @@ def _emit(doc: dict, out_path: str | None) -> None:
 def cmd_construct(args) -> int:
     t0 = time.monotonic()
     params = _parse_alpha(args.alpha)
+    from .pairs import build_pair
     pair = build_pair(args.genus, params)
     # the to_json() form of each field, with its Polys left for _dumps
     doc = {
@@ -213,6 +219,14 @@ def _checks_for(args, params: dict) -> list[dict]:
     if order is not None and order < 2 * g + 6:
         raise ParamError(f"--series-order must be at least 2g+6 = "
                          f"{2 * g + 6} at genus {g}, got {order}")
+    from .curve import SpectralCurve, is_nonsingular
+    from .pairs import (OperatorPair, build_pair, quartic_from_potentials,
+                        verify_commutation, verify_self_adjoint,
+                        verify_square_identity)
+    from .poly import Poly, Rat
+    from .qsolver import (curve_identity_residual, q_ode_residual,
+                          trace_identity_residual)
+    from .weyl import DiffOp, is_self_adjoint
     pair = build_pair(g, params)
     qp, curve = pair.q, pair.curve
     if args.inject_fault == "q":
@@ -254,9 +268,9 @@ def _checks_for(args, params: dict) -> list[dict]:
     for key in ("leading_term", "potential_v", "potential_w",
                 "self_adjoint_b1", "odd_coeffs_vanish"):
         add(f"series_{key}", monic and (trace_ok or key != "potential_w"))
-    add("self_adjoint_l4", is_self_adjoint(pair.l4))
-    add("self_adjoint_m", is_self_adjoint(m))
     patched = OperatorPair(g=g, l4=pair.l4, m=m, curve=curve, q=qp)
+    add("self_adjoint_l4", is_self_adjoint(pair.l4))
+    add("self_adjoint_m", verify_self_adjoint(patched).is_zero())
     add("commutation", verify_commutation(patched).is_zero(),
         "[L4, M] = 0")
     add("square_identity", verify_square_identity(patched).is_zero(),

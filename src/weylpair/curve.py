@@ -14,14 +14,8 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cached_property
 
+from .errors import PARAM_NAMES, ParamError
 from .poly import Poly, shares_root
-
-
-class ParamError(ValueError):
-    """Invalid parameter binding (missing value, or a3 = 0)."""
-
-
-PARAM_NAMES = ("a0", "a1", "a2", "a3")
 
 
 def require_bound(*polys: Poly) -> None:

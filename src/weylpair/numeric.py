@@ -30,10 +30,10 @@ A parameter left in Q, V, W or F raises ParamError; no check reads params.
 from __future__ import annotations
 
 from .curve import SpectralCurve, require_bound
+from .errors import (DegenerateDerivativeError, DegreeError,
+                     MultipleRootError, XDependenceError)
 from .poly import Poly, Rat, divides, shares_root
-from .qsolver import (DegenerateDerivativeError, DegreeError,
-                      MultipleRootError, QPolynomial, XDependenceError,
-                      _x_derivs, curve_rhs_jet, extract_curve)
+from .qsolver import QPolynomial, _x_derivs, curve_rhs_jet, extract_curve
 
 
 def _vanishes_at_a_root(q: Poly, p: Poly) -> bool:

@@ -26,24 +26,10 @@ import operator
 from collections import namedtuple
 from itertools import accumulate
 
+from .curve import SpectralCurve
+from .errors import (PARAM_NAMES, DegenerateDerivativeError, DegreeError,
+                     MultipleRootError, ParamError, XDependenceError)
 from .poly import Poly, Rat
-from .curve import PARAM_NAMES, ParamError, SpectralCurve
-
-
-class XDependenceError(ArithmeticError):
-    """The extracted spectral polynomial retained x-dependence."""
-
-
-class DegreeError(ValueError):
-    """The extracted spectral polynomial has the wrong shape in z."""
-
-
-class MultipleRootError(RuntimeError):
-    """Two roots of Q(x0, z) coincide: disc_z Q(x0, .) vanishes."""
-
-
-class DegenerateDerivativeError(RuntimeError):
-    """A root of Q(x0, z) is a zero of dQ/dx or a branch point: resample."""
 
 
 def resolve_alphas(params: dict | None) -> tuple[Poly, Poly, Poly, Poly]:

@@ -348,6 +348,26 @@ def is_self_adjoint(a: DiffOp) -> bool:
     return adjoint(a) == a
 
 
+def x0_of_adjoint(a: DiffOp) -> list[Poly]:
+    """The x^0 parts of the coefficients of a*, without forming a*: the
+    D^o coefficient of a* is sum_{i>=o} (-1)^i C(i,o) a_i^(i-o), and the
+    x^0 part of a_i^(k) is k! [x^k]a_i, so entry o is the sum over
+    k = i - o of (-1)^i i!/(i-k)! [x^k]a_i.  The list has ord(a) + 1
+    entries."""
+    if a.is_zero():
+        return []
+    den = math.lcm(*(c.den for c in a.coeffs))
+    out = [defaultdict(int) for _ in a.coeffs]
+    for i, c in enumerate(a.coeffs):
+        scale = den // c.den * (-1 if i % 2 else 1)
+        for k, t in enumerate(c.nums_in("x", i + 1)):
+            f = scale * math.perm(i, k)
+            acc = out[i - k]
+            for key, v in t.items():
+                acc[key] += f * v
+    return [Poly.from_nums(dict(t), den) for t in out]
+
+
 def poly_of_op(c: list[Poly | DiffOp], op: DiffOp) -> DiffOp:
     """sum_j c_j ∘ op^j by Horner's rule: R <- R∘op + c_j from the top
     coefficient down, len(c) - 1 products and no power of op.

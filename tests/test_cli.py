@@ -84,7 +84,7 @@ def test_internal_error_exit_code(command, monkeypatch, capsys):
     def build_pair(g, params):
         raise XDependenceError("probe")
 
-    monkeypatch.setattr(cli, "build_pair", build_pair)
+    monkeypatch.setattr(pairs, "build_pair", build_pair)
     code, out, err = run_cli([command, "--genus", "1"], capsys)
     assert code == 3
     assert out == ""
@@ -350,7 +350,7 @@ def test_double_root_fails_root_distinctness(monkeypatch):
     # with simple roots at x = 3/2 and 5/2
     pair = pairs.build_pair(2, {"a0": 1, "a1": 0, "a2": 0, "a3": 1})
     bad_q = pair.q._replace(q=pair.q.q - Rat(27, 16))
-    monkeypatch.setattr(cli, "build_pair",
+    monkeypatch.setattr(pairs, "build_pair",
                         lambda g, params: pair._replace(q=bad_q))
     args = cli.build_parser().parse_args(
         ["verify", "--genus", "2", "--alpha", "a0=1,a1=0,a2=0,a3=1"])
@@ -367,7 +367,7 @@ def test_skipped_sample_points_fail_root_level_checks(monkeypatch):
     pair = pairs.build_pair(2, {"a0": 1, "a1": 0, "a2": 0, "a3": 1})
     z, x = Poly.var("z"), Poly.var("x")
     bad_q = pair.q._replace(q=(z + Rat(3, 2) * x) ** 2)
-    monkeypatch.setattr(cli, "build_pair",
+    monkeypatch.setattr(pairs, "build_pair",
                         lambda g, params: pair._replace(q=bad_q))
     args = cli.build_parser().parse_args(
         ["verify", "--genus", "2", "--alpha", "a0=1,a1=0,a2=0,a3=1"])
@@ -433,7 +433,7 @@ def test_unwritable_out_fails_before_any_work(command, target, reason,
     def build_pair(*args, **kwargs):
         raise AssertionError("build_pair called")
 
-    monkeypatch.setattr(cli, "build_pair", build_pair)
+    monkeypatch.setattr(pairs, "build_pair", build_pair)
     path = tmp_path / target
     code, out, err = run_cli([command, "--genus", "1", "--out", str(path)],
                              capsys)
@@ -652,7 +652,7 @@ def test_curve_entries_match_curvefun_oracle(g, alpha, monkeypatch):
                                          + ["--alpha", alpha] * bool(alpha))
     params = cli._parse_alpha(alpha)
     for name, pair in corrupted_pairs(pairs.build_pair(g, params)).items():
-        monkeypatch.setattr(cli, "build_pair", lambda g, params: pair)
+        monkeypatch.setattr(pairs, "build_pair", lambda g, params: pair)
         derived = {c["name"]: c["pass"]
                    for c in cli._checks_for(args, params)}
         oracle = oracle_curve_entries(pair.q, pair.curve, pair.l4)

@@ -9,11 +9,13 @@ import random
 import pytest
 import sympy
 
+from weylpair import pairs
 from weylpair.curve import ParamError, SpectralCurve
 from weylpair.pairs import (OperatorPair, build_companion, build_pair,
                             build_quartic, commutant_solve, in_affine_span,
                             is_power_span, quartic_from_potentials,
-                            verify_commutation, verify_square_identity)
+                            verify_commutation, verify_self_adjoint,
+                            verify_square_identity)
 from weylpair.poly import Poly, Rat
 from weylpair.qsolver import build_q, potentials, resolve_alphas
 from weylpair.reference import (match_reference_examples, operator_diff,
@@ -417,6 +419,47 @@ def test_self_adjoint_controls(g, params):
             (pair.l4, True, True)):
         m = pair.m + extra
         assert commutator(pair.l4, m).is_zero() is commutes
+        assert is_self_adjoint(m) is self_adjoint
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4, 5, 6])
+def test_verify_self_adjoint_matches_adjoint(g, monkeypatch):
+    # on built pairs (numeric and the symbolic-a0 slice) the x^0 route
+    # runs, forming no M*, and agrees with the full adjoint; with M + x,
+    # M + x*D, M + x^2*D and M + D^(4g+1), [L, M] = 0 fails and the full
+    # adjoint decides (for M + x^2*D the x^0 parts of M* - M vanish)
+    rng = random.Random(5000 + g)
+    for params in (random_param_tuple(rng), SLICE):
+        pair = build_pair(g, params)
+        assert pair.bracket.is_zero()
+        with monkeypatch.context() as mp:
+            mp.setattr(pairs, "adjoint", None)
+            assert verify_self_adjoint(pair).is_zero()
+        assert is_self_adjoint(pair.m)
+        for extra in (DiffOp([x]), DiffOp([Poly.zero(), x]),
+                      DiffOp([Poly.zero(), x**2]), deriv(4 * g + 1)):
+            m = pair.m + extra
+            assert (verify_self_adjoint(pair._replace(m=m)).is_zero()
+                    is is_self_adjoint(m))
+
+
+def test_verify_self_adjoint_negative_control():
+    # [L, M] = 0 and L* = L, yet M* != M: L = D^4 with M = D^5 or D^5 + L
+    # (x^0 parts of M* - M nonzero), and M = a0*D^4 + D^2 with M* = M.
+    # Then [L, M] = 0 with x^0 parts of M* - M zero and M* != M, where
+    # the x^0 route does not apply: L = D^4 + x^2*D = M is not
+    # self-adjoint, and L = A∘A with the skew A = x^2*D + x = M is
+    # self-adjoint but not monic
+    l4 = deriv(4)
+    drift = l4 + DiffOp([Poly.zero(), x**2])
+    skew = DiffOp([x, x**2])
+    cases = [(l4, deriv(5), False), (l4, deriv(5) + l4, False),
+             (l4, deriv(4).scale(a0) + deriv(2), True),
+             (drift, drift, False), (op_mul(skew, skew), skew, False)]
+    for l, m, self_adjoint in cases:
+        pair = OperatorPair(g=1, l4=l, m=m, curve=None, q=None)
+        assert pair.bracket.is_zero()
+        assert verify_self_adjoint(pair).is_zero() is self_adjoint
         assert is_self_adjoint(m) is self_adjoint
 
 
