@@ -23,11 +23,8 @@ from __future__ import annotations
 # the standard library and the error types only: each command imports its
 # layer after argparse has accepted the command line, so --help, a usage
 # or parameter error and an unwritable --out compile no mathematics.  The
-# layers then compile (no cached bytecode) with argparse loaded, which
-# puts a command's own peak RSS 0.2-0.4 MB above compiling them first
-# (tools/ab_launch.py mb: verify g=4 15.9 MB, construct g=12 17.0 MB,
-# --help 14.8 MB); the benchmark's peak_rss_mb reads the runner's mark of
-# about 20.5-21 MB instead, which these launches stay below
+# layers then compile with argparse loaded, 0.2-0.4 MB of peak RSS above
+# compiling them first, below the benchmark runner's own mark
 import argparse
 import errno
 import os
@@ -37,11 +34,7 @@ import time
 # the json package, its decoder and scanner, about 3 ms per launch
 from _json import encode_basestring_ascii
 
-from .errors import (PARAM_NAMES, DegenerateDerivativeError, DegreeError,
-                     MultipleRootError, ParamError, XDependenceError)
-
-INTERNAL_ERRORS = (XDependenceError, DegreeError, MultipleRootError,
-                   DegenerateDerivativeError)
+from .errors import INTERNAL_ERRORS, PARAM_NAMES, ParamError, check_a3
 
 
 def _parse_alpha(text: str) -> dict:
@@ -68,6 +61,7 @@ def _parse_alpha(text: str) -> dict:
             params[name] = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParamError(f"bad rational {value!r} for {name}") from exc
+    check_a3(params.get("a3", 1))
     return params
 
 
@@ -212,119 +206,28 @@ def cmd_construct(args) -> int:
     return 0
 
 
-def _checks_for(args, params: dict) -> list[dict]:
+def cmd_verify(args) -> int:
+    t0 = time.monotonic()
+    params = _parse_alpha(args.alpha)
     g = args.genus
     # the oracle expansions of bench/replay.py read u1 up to k^(2g+5)
     order = args.series_order
     if order is not None and order < 2 * g + 6:
         raise ParamError(f"--series-order must be at least 2g+6 = "
                          f"{2 * g + 6} at genus {g}, got {order}")
-    from .curve import SpectralCurve, is_nonsingular
-    from .pairs import (OperatorPair, build_pair, quartic_from_potentials,
-                        verify_commutation, verify_self_adjoint,
-                        verify_square_identity)
-    from .poly import Poly, Rat
-    from .qsolver import (curve_identity_residual, q_ode_residual,
-                          trace_identity_residual)
-    from .weyl import DiffOp, is_self_adjoint
+    from .pairs import build_pair, verify_pair
+    from .poly import Poly
     pair = build_pair(g, params)
-    qp, curve = pair.q, pair.curve
+    x = Poly.var("x")
     if args.inject_fault == "q":
-        qp = qp._replace(q=qp.q + Poly.var("x"))
+        pair = pair._replace(q=pair.q._replace(q=pair.q.q + x))
     elif args.inject_fault == "curve":
-        coeffs = list(curve.coeffs)
-        coeffs[0] = coeffs[0] + Poly.one()
-        curve = SpectralCurve(g=g, coeffs=tuple(coeffs))
-    m = pair.m
-    if args.inject_fault == "companion":
-        m = m + DiffOp([Poly.var("x")])
-
-    checks = []
-
-    def add(name, passed, detail=""):
-        checks.append({"name": name, "pass": bool(passed),
-                       "detail": str(detail)})
-
-    # q_ode and derived_ode name one residual, d/dx(*) / (2Q)
-    ode_ok = q_ode_residual(qp).is_zero()
-    add("q_ode", ode_ok, "fifth-order linear ODE residual of Q")
-    curve_ok = curve_identity_residual(qp, curve).is_zero()
-    add("curve_identity", curve_ok,
-        "4F equals the quadratic expression in Q, V, W")
-    add("derived_ode", ode_ok, "x-derivative companion identity")
-    trace_ok = trace_identity_residual(qp, curve).is_zero()
-    add("trace_identity", trace_ok, "W = 2[z^(g-1)]Q - c_2g")
-    # L = (D^2+V)^2+W reduces by psi'' = u1 psi' + u0 psi, u1 = Q'/Q and
-    # u0 = (-Q''/2 + w)/Q - V, to R0 + R1 D.  With C = 4F - rhs(*), for
-    # every Q (arXiv:1107.3356 §2; curvefun is the oracle):
-    #     R0 - z = C / (4 Q^2),   R1 = 0,
-    #     [k^1]u0 = -W/2  <=>  trace_identity,  for Q monic of z-degree g,
-    # and such a Q makes u1 an even O(k^2) series in k = 1/sqrt(z) and u0 =
-    # 1/k - V + O(k).  The series entries fail closed on any other Q.
-    normal = pair.l4 == quartic_from_potentials(qp.v, qp.w)
-    monic = qp.q.degree("z") == g and qp.q.coeff_in("z", g) == 1
-    add("reduction_psi", normal and curve_ok, "psi-coefficient equals z")
-    add("reduction_dpsi", normal, "psi'-coefficient vanishes")
-    for key in ("leading_term", "potential_v", "potential_w",
-                "self_adjoint_b1", "odd_coeffs_vanish"):
-        add(f"series_{key}", monic and (trace_ok or key != "potential_w"))
-    patched = OperatorPair(g=g, l4=pair.l4, m=m, curve=curve, q=qp)
-    add("self_adjoint_l4", is_self_adjoint(pair.l4))
-    add("self_adjoint_m", verify_self_adjoint(patched).is_zero())
-    add("commutation", verify_commutation(patched).is_zero(),
-        "[L4, M] = 0")
-    add("square_identity", verify_square_identity(patched).is_zero(),
-        "M^2 = F(L4)")
-
-    if all(name in params for name in PARAM_NAMES):
-        from .numeric import (roots_z, verify_krichever,
-                              verify_potential_recovery)
-        add("curve_nonsingular", is_nonsingular(curve, params),
-            "disc_z F != 0 at the bound parameters")
-        sample_points = [Rat(2 * i + 1, 2) for i in range(args.samples)]
-        recovery_ok = krichever_ok = True
-        # messages from roots_z and from the two root-level checks; both
-        # fail on either, as they do not run where roots_z raises
-        root_errors = []
-        check_errors = []
-        for x0 in sample_points:
-            # a corrupted Q must surface as failed checks, not a crash
-            try:
-                roots_z(qp, None, x0)
-            except INTERNAL_ERRORS as exc:
-                root_errors.append(f"{type(exc).__name__}: {exc}")
-                check_errors.append(f"not run at x0={x0}: {root_errors[-1]}")
-                continue
-            try:
-                rep = verify_potential_recovery(qp, None, x0)
-                recovery_ok = recovery_ok and rep["pass"]
-                repk = verify_krichever(qp, curve, None, x0)
-                krichever_ok = krichever_ok and repk["pass"]
-            except INTERNAL_ERRORS as exc:
-                recovery_ok = False
-                krichever_ok = False
-                check_errors.append(f"{type(exc).__name__}: {exc}")
-        add("root_distinctness", not root_errors,
-            "; ".join(root_errors) or "disc_z Q(x0, z) != 0")
-        add("potential_recovery", recovery_ok and not root_errors,
-            "; ".join(check_errors)
-            or "Q(x0, z) divides Qxx^2 - 2QxQxxx - 4F - 4VQx^2; "
-               "res_z(Q, Qx) != 0")
-        add("krichever_relation", krichever_ok and not root_errors,
-            "; ".join(check_errors)
-            or "the same divisibility; res_z(Q, F) != 0")
-    else:
-        for name in ("curve_nonsingular", "root_distinctness",
-                     "potential_recovery", "krichever_relation"):
-            checks.append({"name": name, "pass": None,
-                           "detail": "skipped: symbolic parameters"})
-    return checks
-
-
-def cmd_verify(args) -> int:
-    t0 = time.monotonic()
-    params = _parse_alpha(args.alpha)
-    checks = _checks_for(args, params)
+        c = pair.curve.coeffs
+        pair = pair._replace(curve=pair.curve._replace(
+            coeffs=(c[0] + 1, *c[1:])))
+    elif args.inject_fault == "companion":
+        pair = pair._replace(m=pair.m + pair.m.from_poly(x))
+    checks = verify_pair(pair, args.samples)
     failed = [c for c in checks if c["pass"] is False]
     doc = {
         "genus": args.genus,

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cached_property
 
-from .errors import PARAM_NAMES, ParamError
+from .errors import PARAM_NAMES, ParamError, check_a3
 from .poly import Poly, shares_root
 
 
@@ -69,8 +69,7 @@ def is_nonsingular(curve: SpectralCurve, params: dict) -> bool:
     params must bind every parameter still present in the coefficients;
     a3 = 0 is rejected because the construction requires a3 != 0.
     """
-    if "a3" in params and Poly.rat(params["a3"]).is_zero():
-        raise ParamError("a3 must be nonzero")
+    check_a3(Poly.rat(params.get("a3", 1)))
     f = curve.as_poly().eval(params)
     require_bound(f)
     return not shares_root(f, f.diff("z"), "z")

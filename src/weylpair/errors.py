@@ -3,7 +3,7 @@
 They live apart from the mathematics so that the CLI can name them, and
 exit 2 or 3 on them, without compiling a layer.  curve, qsolver and
 numeric import them from here, so each is the same class under every
-module that names it.
+module that names it.  So is the a3 != 0 rule.
 """
 
 
@@ -12,6 +12,13 @@ class ParamError(ValueError):
 
 
 PARAM_NAMES = ("a0", "a1", "a2", "a3")
+
+
+def check_a3(value) -> None:
+    """Reject a3 = 0, a rational or a Poly: the recursion of Q then fixes
+    no delta_s, as its every A_s vanishes (qsolver.build_deltas)."""
+    if value == 0:
+        raise ParamError("a3 must be nonzero")
 
 
 class XDependenceError(ArithmeticError):
@@ -28,3 +35,8 @@ class MultipleRootError(RuntimeError):
 
 class DegenerateDerivativeError(RuntimeError):
     """A root of Q(x0, z) is a zero of dQ/dx or a branch point: resample."""
+
+
+# raised by a corrupted Q or a degenerate sample point: exit code 3
+INTERNAL_ERRORS = (XDependenceError, DegreeError, MultipleRootError,
+                   DegenerateDerivativeError)

@@ -20,11 +20,9 @@ C = 4F - rhs(*) the curve residual and P = Qxx^2 - 2 Qx Qxxx - 4F - 4V Qx^2
 Both are the curve identity (*) reduced mod Q, which curve_identity
 proves for all x.  A vanishing discriminant raises MultipleRootError, a
 vanishing res_z(Q, Qx) or res_z(Q, F) DegenerateDerivativeError: the
-sample point must be re-drawn.  poly.shares_root decides each "!= 0" as a
-gcd of 1 over Q (disc_z q != 0 as gcd(q, q') = 1), and poly.divides the
-divisibility by the same pseudo-remainder step.  No root is ever
-approximated; the roots enter only through these polynomial statements.
-A parameter left in Q, V, W or F raises ParamError; no check reads params.
+sample point must be re-drawn.  poly.shares_root decides each "!= 0" and
+poly.divides the divisibility, so no root is ever approximated.  A
+parameter left in Q, V, W or F raises ParamError; no check reads params.
 """
 
 from __future__ import annotations
@@ -77,7 +75,8 @@ def verify_potential_recovery(qp: QPolynomial, params: dict | None, x0,
     Q(x0, .), with F the curve that (*) gives for qp: fails when
     extract_curve raises XDependenceError or DegreeError, and otherwise
     holds by the identity in the module docstring.  params and tol are not
-    read (the check is exact); bench/replay.py passes them.
+    read (the check is exact).  An oracle of the tests and bench/replay.py,
+    which passes them, until the replay calls pairs.verify_pair.
     """
     require_bound(qp.q, qp.v, qp.w)
     x0 = Rat(x0)
@@ -97,18 +96,19 @@ def verify_krichever(qp: QPolynomial, curve: SpectralCurve,
     both sheets of w^2 = F, with F from the given curve: Q(x0, .) divides
     the curve residual C(x0, .) = 4F - rhs(*)(x0, .); simple_poles in the
     report is the number of poles, g.  params and tol are not read (the
-    check is exact); bench/replay.py passes them.
+    check is exact); bench/replay.py passes them.  It raises in the order
+    of roots_z, verify_potential_recovery and the branch point.
     """
     f = curve.as_poly()
     require_bound(qp.q, qp.v, qp.w, f)
     x0 = Rat(x0)
     q = roots_z(qp, None, x0)
+    at = {"x": x0}
+    v, v1, w = (p.eval(at) for p in (qp.v, qp.v.diff("x"), qp.w))
+    c = 4 * f - curve_rhs_jet(*_x_slices(qp, x0, 4), v, v1, w)
     if _vanishes_at_a_root(q, f):
         raise DegenerateDerivativeError(
             f"a root of Q(x0={x0}, z) is a branch point of the curve; "
             f"resample x0")
-    at = {"x": x0}
-    v, v1, w = (p.eval(at) for p in (qp.v, qp.v.diff("x"), qp.w))
-    c = 4 * f - curve_rhs_jet(*_x_slices(qp, x0, 4), v, v1, w)
     return {"name": "krichever_relation", "x0": str(x0),
             "simple_poles": q.degree("z"), "pass": divides(q, c, "z")}

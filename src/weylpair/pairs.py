@@ -30,13 +30,8 @@ weyl.x0_of_product computes it, and X(a∘b) = X(X(a)∘b).  Hence X(M^2)
 is x0_of_product(M, M), and X(F(L)) comes from Horner's rule over x^0
 parts, R <- X(R∘L) + c_j from R = 1, with every R x-free.
 
-A commutant solver provides a second, independent route to M: it solves
-[L, M] = 0 from L alone and finds every monic commuting operator of a
-given order n.  Each run(t), t = 0..n, solves for D^t + lower terms one
-coefficient at a time from the top order down (the Burchnall-Chaundy
-recursion) with every integration constant 0.  As [L, .] is linear, the
-solutions are the run(n) + sum_k c_k run(k) whose leftover low-order
-brackets cancel, and one echelon reduction finds those c_k.
+commutant_solve is a second, independent route to M, from L alone; its
+docstring has the recursion.
 
 Why M is self-adjoint (arXiv:1107.3356; Burchnall-Chaundy 1923).  For
 L* = L, [L, M*] = -[L, M]*, so [L, M* - M] = -([L, M] + [L, M]*): once
@@ -49,9 +44,25 @@ curve are twice the pole orders at its branch point at infinity, whose
 gaps are 1, 3, ..., 2g-1.  Then M* - M = sum_k c_k L^k with constant c_k,
 and taking adjoints gives sum_k c_k L^k = -sum_k c_k L^k, so every c_k is
 0 and M* = M.  The tests check the span at g = 1..6 on seeded numeric
-parameters; verify still computes self_adjoint_m on its own: once
-[L, M] = 0 and L* = L, verify_self_adjoint compares only the x^0 parts
-of M* and M, which decide M* = M because M* - M commutes with L.
+parameters.
+
+verify_pair(pair, samples) is the one verification engine: it certifies
+the pair it is given, for the CLI and the tests alike.  With E the
+fifth-order residual of Q and C = 4F - rhs(*), C' = -2Q E in a domain,
+so C = 0 exactly when E = 0 and C = 0 at x = 0.  Each check reads one
+certificate, formed once:
+
+    q_ode, derived_ode    E = 0
+    curve_identity        E = 0 and 4F = rhs(*) at x = 0 (curve_at_x0)
+    trace_identity        W - 2[z^(g-1)]Q + c_2g = 0
+    reduction_*, series_* those two, Q's shape and L's normal form
+    self_adjoint_l4, _m   L* = L; X(M*) = X(M), once [L, M] = 0
+    commutation           [L, M] = 0, formed once as pair.bracket
+    square_identity       [L, M] = 0 and X(M^2) = X(F(L))
+    curve_nonsingular     disc_z F != 0, where no parameter occurs
+    the root-level checks one numeric.verify_krichever call per sample
+                          point; potential_recovery also needs E = 0 and
+                          rhs(*)/4 at x = 0 monic of degree 2g+1
 """
 
 from __future__ import annotations
@@ -60,10 +71,13 @@ import math
 from collections import namedtuple
 from functools import cached_property
 
-from .errors import PARAM_NAMES, ParamError
+from .curve import is_nonsingular
+from .errors import (INTERNAL_ERRORS, PARAM_NAMES, MultipleRootError,
+                     ParamError)
 from .poly import Poly, Rat
-from .qsolver import (QPolynomial, _x_derivs, build_q, extract_curve,
-                      potentials, resolve_alphas)
+from .qsolver import (QPolynomial, _x_derivs, build_q, curve_at_x0,
+                      derived_ode_residual, extract_curve, potentials,
+                      resolve_alphas, trace_identity_residual)
 from .weyl import (DiffOp, adjoint, commutator, is_self_adjoint, op_mul,
                    poly_of_products, x0_of_adjoint, x0_of_product)
 
@@ -167,6 +181,75 @@ def verify_self_adjoint(pair: OperatorPair) -> DiffOp:
         return adjoint(m) - m
     return (DiffOp(x0_of_adjoint(m))
             - DiffOp([c.coeff_in("x", 0) for c in m.coeffs]))
+
+
+def verify_pair(pair: OperatorPair, samples: int = 3) -> list[dict]:
+    """The checks of `weylpair verify` on the pair, in report order, at
+    x0 = 1/2, 3/2, ...; "pass" is None where a check is skipped."""
+    g, qp, curve = pair.g, pair.q, pair.curve
+    checks = []
+
+    def add(name, passed, detail=""):
+        checks.append({"name": name, "pass": passed, "detail": detail})
+
+    ode_ok = derived_ode_residual(qp).is_zero()
+    f0 = curve_at_x0(qp)
+    curve_ok = ode_ok and f0 == curve.as_poly()
+    add("q_ode", ode_ok, "fifth-order linear ODE residual of Q")
+    add("curve_identity", curve_ok,
+        "4F equals the quadratic expression in Q, V, W")
+    add("derived_ode", ode_ok, "x-derivative companion identity")
+    trace_ok = trace_identity_residual(qp, curve).is_zero()
+    add("trace_identity", trace_ok, "W = 2[z^(g-1)]Q - c_2g")
+    # L = (D^2+V)^2+W reduces by psi'' = u1 psi' + u0 psi, u1 = Q'/Q and
+    # u0 = (-Q''/2 + w)/Q - V, to R0 + R1 D.  For every Q (arXiv:1107.3356
+    # §2; curvefun is the oracle):
+    #     R0 - z = C / (4 Q^2),   R1 = 0,
+    #     [k^1]u0 = -W/2  <=>  trace_identity,  for Q monic of z-degree g,
+    # and such a Q makes u1 an even O(k^2) series in k = 1/sqrt(z) and u0 =
+    # 1/k - V + O(k).  The series entries fail closed on any other Q.
+    normal = pair.l4 == quartic_from_potentials(qp.v, qp.w)
+    monic = qp.q.degree("z") == g and qp.q.coeff_in("z", g) == 1
+    add("reduction_psi", normal and curve_ok, "psi-coefficient equals z")
+    add("reduction_dpsi", normal, "psi'-coefficient vanishes")
+    for key in ("leading_term", "potential_v", "potential_w",
+                "self_adjoint_b1", "odd_coeffs_vanish"):
+        add(f"series_{key}", monic and (trace_ok or key != "potential_w"))
+    add("self_adjoint_l4", is_self_adjoint(pair.l4))
+    add("self_adjoint_m", verify_self_adjoint(pair).is_zero())
+    add("commutation", verify_commutation(pair).is_zero(), "[L4, M] = 0")
+    add("square_identity", verify_square_identity(pair).is_zero(),
+        "M^2 = F(L4)")
+    if any(p.degree(name) > 0 for p in (qp.q, qp.v, qp.w, curve.as_poly())
+           for name in PARAM_NAMES):
+        for name in ("curve_nonsingular", "root_distinctness",
+                     "potential_recovery", "krichever_relation"):
+            add(name, None, "skipped: symbolic parameters")
+        return checks
+    from .numeric import verify_krichever
+    add("curve_nonsingular", is_nonsingular(curve, {}),
+        "disc_z F != 0 at the bound parameters")
+    # a corrupted Q must surface as failed checks, not a crash
+    couplings, root_errors, errors = [], [], []
+    for x0 in (Rat(2 * i + 1, 2) for i in range(samples)):
+        try:
+            couplings.append(verify_krichever(qp, curve, None, x0)["pass"])
+        except MultipleRootError as exc:
+            root_errors.append(f"{type(exc).__name__}: {exc}")
+            errors.append(f"not run at x0={x0}: {root_errors[-1]}")
+        except INTERNAL_ERRORS as exc:
+            errors.append(f"{type(exc).__name__}: {exc}")
+    add("root_distinctness", not root_errors,
+        "; ".join(root_errors) or "disc_z Q(x0, z) != 0")
+    extracts = (ode_ok and f0.degree("z") == 2 * g + 1
+                and f0.coeff_in("z", 2 * g + 1) == 1)
+    detail = "; ".join(errors)
+    add("potential_recovery", extracts and not errors, detail
+        or "Q(x0, z) divides Qxx^2 - 2QxQxxx - 4F - 4VQx^2; "
+           "res_z(Q, Qx) != 0")
+    add("krichever_relation", all(couplings) and not errors,
+        detail or "the same divisibility; res_z(Q, F) != 0")
+    return checks
 
 
 # -- independent commutant solver -------------------------------------------

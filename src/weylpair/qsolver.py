@@ -15,9 +15,7 @@ fifth-order linear ODE obtained by differentiating (*), by a recursion
 that divides by nothing, extracts F, and provides exact residual checks
 for every identity involved.
 
-(*) is written once, in curve_rhs_jet, on the jet of Q, V and W.  Since
-d/dx rhs(*) = 2Q E, E the fifth-order residual, extract_curve decides
-x-freeness by E and reads F off the jet at x = 0.
+(*) is written once, in curve_rhs_jet, on the jet of Q, V and W.
 """
 
 from __future__ import annotations
@@ -28,7 +26,8 @@ from itertools import accumulate
 
 from .curve import SpectralCurve
 from .errors import (PARAM_NAMES, DegenerateDerivativeError, DegreeError,
-                     MultipleRootError, ParamError, XDependenceError)
+                     MultipleRootError, ParamError, XDependenceError,
+                     check_a3)
 from .poly import Poly, Rat
 
 
@@ -37,9 +36,7 @@ def resolve_alphas(params: dict | None) -> tuple[Poly, Poly, Poly, Poly]:
 
     params maps a subset of {a0, a1, a2, a3} to rational values (int, Rat
     or "num/den" string); unbound parameters stay symbolic.  Binding a3 to
-    zero is rejected: the ODE of Q needs the cubic potential, since with
-    a3 = 0 the coefficient A_s = -2 a3 (g-s)(s+g+1)(2s+1) of delta_s in
-    its recursion (build_deltas) vanishes and fixes no delta_s.
+    zero is rejected (errors.check_a3).
     """
     params = params or {}
     unknown = set(params) - set(PARAM_NAMES)
@@ -48,12 +45,10 @@ def resolve_alphas(params: dict | None) -> tuple[Poly, Poly, Poly, Poly]:
     out = []
     for name in PARAM_NAMES:
         if name in params and params[name] is not None:
-            value = Poly.rat(params[name])
-            if name == "a3" and value.is_zero():
-                raise ParamError("a3 must be nonzero")
-            out.append(value)
+            out.append(Poly.rat(params[name]))
         else:
             out.append(Poly.var(name))
+    check_a3(out[3])
     return tuple(out)
 
 
@@ -152,23 +147,27 @@ def curve_rhs_jet(q, q1, q2, q3, q4, v, v1, w) -> Poly:
 
 
 def curve_rhs(q: Poly, v: Poly, w: Poly) -> Poly:
-    """Right-hand side of (*) for all x: curve_rhs_jet on the polynomials."""
+    """rhs(*) for all x, curve_rhs_jet on the polynomials; an oracle."""
     return curve_rhs_jet(*_x_derivs(q, 4), v, v.diff("x"), w)
+
+
+def curve_at_x0(qp: QPolynomial) -> Poly:
+    """rhs(*)/4 at x = 0, read off the jet of Q, V and W there."""
+    jet = (*_x_derivs(qp.q, 4), qp.v, qp.v.diff("x"), qp.w)
+    return curve_rhs_jet(*(p.coeff_in("x", 0) for p in jet)) * Rat(1, 4)
 
 
 def extract_curve(qp: QPolynomial) -> SpectralCurve:
     """F = rhs(*)/4.  d/dx rhs(*) = 2Q E for every Q, V and W, with E =
     derived_ode_residual(qp), so rhs(*) is x-free exactly when E = 0 (Q = 0
-    gives E = 0 and F = 0), else XDependenceError.  An x-free rhs(*) is its
-    value at x = 0, where F is read off the jet; it must be monic of degree
-    2g+1 in z, else DegreeError."""
+    gives E = 0 and F = 0), else XDependenceError.  An x-free rhs(*) is
+    curve_at_x0; it must be monic of degree 2g+1 in z, else DegreeError."""
     g = qp.g
     if not derived_ode_residual(qp).is_zero():
         raise XDependenceError(
             "spectral polynomial retained x-dependence; Q does not satisfy "
             "the defining identity")
-    jet = (*_x_derivs(qp.q, 4), qp.v, qp.v.diff("x"), qp.w)
-    f = curve_rhs_jet(*(p.coeff_in("x", 0) for p in jet)) * Poly.rat(Rat(1, 4))
+    f = curve_at_x0(qp)
     dz = f.degree("z")
     if dz != 2 * g + 1:
         raise DegreeError(f"expected degree {2*g+1} in z, got {dz}")
@@ -179,7 +178,9 @@ def extract_curve(qp: QPolynomial) -> SpectralCurve:
 
 
 def curve_identity_residual(qp: QPolynomial, curve: SpectralCurve) -> Poly:
-    """4*F(z) minus the right-hand side of (*); must vanish exactly."""
+    """4*F(z) minus the right-hand side of (*); must vanish exactly.  An
+    oracle of the tests and bench/replay.py, kept until the replay calls
+    pairs.verify_pair, which reads curve_identity off E and curve_at_x0."""
     return 4 * curve.as_poly() - curve_rhs(qp.q, qp.v, qp.w)
 
 

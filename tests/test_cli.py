@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, JSON contracts, determinism."""
 
+import collections
 import hashlib
 import importlib
 import io
@@ -11,14 +12,16 @@ from pathlib import Path
 
 import pytest
 
-from weylpair import cli, pairs, reference
-from weylpair.cli import main
+from weylpair import cli, curve, numeric, pairs, qsolver, reference
+from weylpair.cli import INTERNAL_ERRORS, main
 from weylpair.curve import SpectralCurve
 from weylpair.curvefun import (expand_at_infinity, expansion_report,
                                reduction_coefficients, reduction_residuals)
+from weylpair.numeric import (roots_z, verify_krichever,
+                              verify_potential_recovery)
 from weylpair.pairs import quartic_from_potentials
 from weylpair.poly import Poly, Rat
-from weylpair.qsolver import XDependenceError
+from weylpair.qsolver import XDependenceError, curve_identity_residual
 
 from conftest import curve_from_json, deriv, op_from_json, poly_from_json
 
@@ -345,34 +348,26 @@ def test_verify_accepts_series_order_2g_plus_6(capsys):
     assert json.loads(out)["pass"] is True
 
 
-def test_double_root_fails_root_distinctness(monkeypatch):
+def test_double_root_fails_root_distinctness():
     # at g = 2, Q = z^2 + 3xz + 9x^2 and Q - 27/16 = (z + 3/4)^2 at x = 1/2,
     # with simple roots at x = 3/2 and 5/2
     pair = pairs.build_pair(2, {"a0": 1, "a1": 0, "a2": 0, "a3": 1})
     bad_q = pair.q._replace(q=pair.q.q - Rat(27, 16))
-    monkeypatch.setattr(pairs, "build_pair",
-                        lambda g, params: pair._replace(q=bad_q))
-    args = cli.build_parser().parse_args(
-        ["verify", "--genus", "2", "--alpha", "a0=1,a1=0,a2=0,a3=1"])
     checks = {c["name"]: c
-              for c in cli._checks_for(args, cli._parse_alpha(args.alpha))}
+              for c in pairs.verify_pair(pair._replace(q=bad_q))}
     assert checks["root_distinctness"] == {
         "name": "root_distinctness", "pass": False,
         "detail": "MultipleRootError: Q(x0=1/2, z) has a multiple root"}
 
 
-def test_skipped_sample_points_fail_root_level_checks(monkeypatch):
+def test_skipped_sample_points_fail_root_level_checks():
     # Q = (z + 3x/2)^2 has a double root at every x0, so neither
     # root-level check runs anywhere; neither may read PASS
     pair = pairs.build_pair(2, {"a0": 1, "a1": 0, "a2": 0, "a3": 1})
     z, x = Poly.var("z"), Poly.var("x")
     bad_q = pair.q._replace(q=(z + Rat(3, 2) * x) ** 2)
-    monkeypatch.setattr(pairs, "build_pair",
-                        lambda g, params: pair._replace(q=bad_q))
-    args = cli.build_parser().parse_args(
-        ["verify", "--genus", "2", "--alpha", "a0=1,a1=0,a2=0,a3=1"])
     checks = {c["name"]: c
-              for c in cli._checks_for(args, cli._parse_alpha(args.alpha))}
+              for c in pairs.verify_pair(pair._replace(q=bad_q))}
     errors = [f"MultipleRootError: Q(x0={x0}, z) has a multiple root"
               for x0 in ("1/2", "3/2", "5/2")]
     assert checks["root_distinctness"]["pass"] is False
@@ -485,6 +480,9 @@ VERIFY_REFS = [
     # the root-level checks on a degree-17 F and a degree-8 Q(x0, z)
     (["--genus", "8", "--alpha", "a0=2,a1=3/4,a2=3,a3=1"], 0,
      "425472834f44a47c610e53895e7122f95f54966b2de0a9bb3a01d99514b7d780"),
+    # the high-genus path: a degree-41 F and a degree-20 Q(x0, z)
+    (["--genus", "20", "--alpha", "a0=2,a1=3/4,a2=3,a3=1"], 0,
+     "43feae2b9b7fdffb56f22a763d74ea5fd41e9472161e1988a02341a32c12bcdf"),
 ]
 
 
@@ -643,18 +641,14 @@ def corrupted_pairs(pair):
     (3, "a0=2,a1=3/4,a2=3,a3=1"), (4, "a0=2,a1=3/4,a2=3,a3=1"),
     (1, ""), (2, "")], ids=["numeric-g1", "numeric-g2", "numeric-g3",
                             "numeric-g4", "symbolic-g1", "symbolic-g2"])
-def test_curve_entries_match_curvefun_oracle(g, alpha, monkeypatch):
+def test_curve_entries_match_curvefun_oracle(g, alpha):
     # verify reads the reduction and expansion entries off the curve and
     # trace certificates; the reduction and the expansions at infinity
     # themselves must give the same verdicts
-    argv = ["verify", "--genus", str(g), "--samples", "1"]
-    args = cli.build_parser().parse_args(argv
-                                         + ["--alpha", alpha] * bool(alpha))
     params = cli._parse_alpha(alpha)
     for name, pair in corrupted_pairs(pairs.build_pair(g, params)).items():
-        monkeypatch.setattr(pairs, "build_pair", lambda g, params: pair)
         derived = {c["name"]: c["pass"]
-                   for c in cli._checks_for(args, params)}
+                   for c in pairs.verify_pair(pair, samples=1)}
         oracle = oracle_curve_entries(pair.q, pair.curve, pair.l4)
         q = pair.q.q
         shaped = q.degree("z") == g and q.coeff_in("z", g) == 1
@@ -672,3 +666,91 @@ def test_curve_entries_match_curvefun_oracle(g, alpha, monkeypatch):
         if name == "L(V+1)":
             assert not derived["reduction_psi"]
             assert not derived["reduction_dpsi"]
+
+
+def oracle_root_checks(qp, curve, samples: int) -> dict:
+    """(pass, detail) of the root-level checks as roots_z, then
+    verify_potential_recovery and verify_krichever at each sample point
+    give them, each checking on its own."""
+    recovery_ok = krichever_ok = True
+    root_errors, check_errors = [], []
+    for x0 in (Rat(2 * i + 1, 2) for i in range(samples)):
+        try:
+            roots_z(qp, None, x0)
+        except INTERNAL_ERRORS as exc:
+            root_errors.append(f"{type(exc).__name__}: {exc}")
+            check_errors.append(f"not run at x0={x0}: {root_errors[-1]}")
+            continue
+        try:
+            recovery = verify_potential_recovery(qp, None, x0)["pass"]
+            recovery_ok = recovery_ok and recovery
+            krichever = verify_krichever(qp, curve, None, x0)["pass"]
+            krichever_ok = krichever_ok and krichever
+        except INTERNAL_ERRORS as exc:
+            recovery_ok = krichever_ok = False
+            check_errors.append(f"{type(exc).__name__}: {exc}")
+    return {
+        "root_distinctness": (not root_errors, "; ".join(root_errors)
+                              or "disc_z Q(x0, z) != 0"),
+        "potential_recovery": (
+            recovery_ok and not root_errors, "; ".join(check_errors)
+            or "Q(x0, z) divides Qxx^2 - 2QxQxxx - 4F - 4VQx^2; "
+               "res_z(Q, Qx) != 0"),
+        "krichever_relation": (
+            krichever_ok and not root_errors, "; ".join(check_errors)
+            or "the same divisibility; res_z(Q, F) != 0")}
+
+
+def engine_cases():
+    """(name, pair): corrupted_pairs and Q + x^5, whose jet at x = 0 is
+    Q's, at g = 1..4 on a generic tuple and on the degenerate seed-503 and
+    seed-10105 tuples; Q = (z + 3x/2)^2, Q - 27/16 and Q = 0 at g = 2."""
+    x, z = Poly.var("x"), Poly.var("z")
+    for alpha in ("a0=2,a1=3/4,a2=3,a3=1", DEGENERATE_X0,
+                  "a0=-5/1,a1=1/1,a2=-9/4,a3=5/3"):
+        for g in (1, 2, 3, 4):
+            pair = pairs.build_pair(g, cli._parse_alpha(alpha))
+            cases = corrupted_pairs(pair)
+            cases["Q+x^5"] = pair._replace(
+                q=pair.q._replace(q=pair.q.q + x ** 5))
+            yield from ((f"{alpha} g={g} {name}", p)
+                        for name, p in cases.items())
+    pair = pairs.build_pair(2, {"a0": 1, "a1": 0, "a2": 0, "a3": 1})
+    for name, q in (("(z+3x/2)^2", (z + Rat(3, 2) * x) ** 2),
+                    ("Q-27/16", pair.q.q - Rat(27, 16)),
+                    ("Q=0", Poly.zero())):
+        yield name, pair._replace(q=pair.q._replace(q=q))
+
+
+def test_verify_pair_matches_the_oracles():
+    # curve_identity is read as E = 0 and 4F = rhs(*) at x = 0, and the
+    # root-level checks off one verify_krichever call per sample point;
+    # the full-x residual and the checks run one by one must agree
+    for name, pair in engine_cases():
+        checks = {c["name"]: c for c in pairs.verify_pair(pair)}
+        assert checks["curve_identity"]["pass"] is curve_identity_residual(
+            pair.q, pair.curve).is_zero(), name
+        for key, (ok, detail) in oracle_root_checks(
+                pair.q, pair.curve, 3).items():
+            assert checks[key] == {"name": key, "pass": ok,
+                                   "detail": detail}, (name, key)
+
+
+def test_verify_forms_each_certificate_once(capsys, monkeypatch):
+    # E once in build and once in certify; neither the full-x rhs(*) nor
+    # the per-sample recovery check; disc_z F, then disc_z Q, res_z(Q, Qx)
+    # and res_z(Q, F) at each sample point
+    calls = collections.Counter()
+    for module, name in [(qsolver, "derived_ode_residual"),
+                         (pairs, "derived_ode_residual"),
+                         (qsolver, "curve_rhs"),
+                         (numeric, "verify_potential_recovery"),
+                         (numeric, "shares_root"), (curve, "shares_root")]:
+        def counted(*args, _name=name, _fn=getattr(module, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(module, name, counted)
+    code, _, _ = run_cli(["verify", "--genus", "2", "--alpha",
+                          "a0=1,a1=0,a2=0,a3=1", "--samples", "3"], capsys)
+    assert code == 0
+    assert calls == {"derived_ode_residual": 2, "shares_root": 1 + 3 * 3}

@@ -95,6 +95,16 @@ def test_help_and_rejected_launches_load_no_mathematics(argv, code,
     assert not {"fractions", "decimal"} & names
 
 
+@pytest.mark.parametrize("alpha", ["a3=0", "a3=0/7"])
+def test_a3_zero_is_rejected_before_any_layer_loads(alpha):
+    # the a3 != 0 rule lives in errors; fractions.Fraction reads the value
+    argv = ["verify", "--genus", "1", "--alpha", alpha]
+    assert weylpair_modules(imported(*argv, code=2)) == FRONT
+    proc = python("-m", "weylpair.cli", *argv)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "parameter error: a3 must be nonzero\n"
+
+
 def test_cli_import_exposes_what_the_replay_imports():
     # bench/replay.py runs `from weylpair.cli import INTERNAL_ERRORS,
     # build_parser`; both resolve with no math module loaded
