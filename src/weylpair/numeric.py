@@ -42,11 +42,17 @@ def _vanishes_at_a_root(q: Poly, p: Poly) -> bool:
     return shares_root(q, p, "z")
 
 
-def _x_slices(qp: QPolynomial, x0: Rat, n: int = 3) -> list[Poly]:
-    """Q and its first n x-derivatives at x = x0, as polynomials in z;
-    raises DegenerateDerivativeError when Qx vanishes at a root of Q."""
+def _x_slices(qp: QPolynomial, x0: Rat, n: int = 3,
+              distinct: bool = False) -> list[Poly]:
+    """Q and its first n x-derivatives at x = x0, as polynomials in z.
+    With distinct, raises MultipleRootError when disc_z Q(x0, .) = 0 (a
+    linear slice has one simple root); then, for n >= 1, raises
+    DegenerateDerivativeError when Qx vanishes at a root of Q."""
     slices = [p.eval({"x": x0}) for p in _x_derivs(qp.q, n)]
-    if _vanishes_at_a_root(slices[0], slices[1]):
+    q = slices[0]
+    if distinct and q.degree("z") > 1 and shares_root(q, q.diff("z"), "z"):
+        raise MultipleRootError(f"Q(x0={x0}, z) has a multiple root")
+    if n and _vanishes_at_a_root(q, slices[1]):
         raise DegenerateDerivativeError(
             f"dQ/dx vanishes at a root of Q(x0={x0}, z); resample x0")
     return slices
@@ -57,16 +63,12 @@ def roots_z(qp: QPolynomial, params: dict | None, x0,
     """The slice Q(x0, z), certified to have g distinct roots.
 
     A vanishing disc_z Q(x0, .) would falsify the no-multiple-roots
-    property of Q and raises MultipleRootError rather than resampling; a
-    linear slice has one simple root.  params and tol_root are not read
-    (no root is approximated); bench/replay.py passes them.
+    property of Q and raises MultipleRootError rather than resampling.
+    params and tol_root are not read (no root is approximated);
+    bench/replay.py passes them.
     """
     require_bound(qp.q, qp.v)
-    x0 = Rat(x0)
-    q = qp.q.eval({"x": x0})
-    if q.degree("z") > 1 and shares_root(q, q.diff("z"), "z"):
-        raise MultipleRootError(f"Q(x0={x0}, z) has a multiple root")
-    return q
+    return _x_slices(qp, Rat(x0), 0, distinct=True)[0]
 
 
 def verify_potential_recovery(qp: QPolynomial, params: dict | None, x0,
@@ -96,16 +98,18 @@ def verify_krichever(qp: QPolynomial, curve: SpectralCurve,
     both sheets of w^2 = F, with F from the given curve: Q(x0, .) divides
     the curve residual C(x0, .) = 4F - rhs(*)(x0, .); simple_poles in the
     report is the number of poles, g.  params and tol are not read (the
-    check is exact); bench/replay.py passes them.  It raises in the order
-    of roots_z, verify_potential_recovery and the branch point.
+    check is exact); bench/replay.py passes them.  It evaluates Q(x0, .)
+    once and raises in the order of roots_z, verify_potential_recovery and
+    the branch point.
     """
     f = curve.as_poly()
     require_bound(qp.q, qp.v, qp.w, f)
     x0 = Rat(x0)
-    q = roots_z(qp, None, x0)
+    slices = _x_slices(qp, x0, 4, distinct=True)
+    q = slices[0]
     at = {"x": x0}
     v, v1, w = (p.eval(at) for p in (qp.v, qp.v.diff("x"), qp.w))
-    c = 4 * f - curve_rhs_jet(*_x_slices(qp, x0, 4), v, v1, w)
+    c = 4 * f - curve_rhs_jet(*slices, v, v1, w)
     if _vanishes_at_a_root(q, f):
         raise DegenerateDerivativeError(
             f"a root of Q(x0={x0}, z) is a branch point of the curve; "

@@ -10,8 +10,19 @@ which realizes multiplication by the second curve coordinate w on common
 eigenfunctions.  Every polynomial in L here is summed by Horner's rule,
 R <- R∘L + B_j from the top block down, so no power of L is formed.  The
 certificates below are independent of the derivation of the closed form.
-[L, M] = 0 is verified by direct Weyl-algebra expansion.  M^2 = F(L) is
-certified without forming M^2 or F(L), in two lines:
+
+The L-adic digits (arXiv:1107.3356; Burchnall-Chaundy 1923).  As L is
+monic of order 4, M has one expansion sum_j R_j∘L^j with each R_j of order
+below 4.  With B(q) = q(D^2 + V) - q'D + q''/2, E_k = [z^k]E(Q) for E the
+fifth-order residual, and C = 4F - rhs(*), test_operator_lemmas proves
+
+    [L, sum_j B(q_j)∘L^j] = sum_k (1/2)(E_k∘D + D∘E_k)∘L^k,
+    (sum_j B(q_j)∘L^j)^2 - F(L) = -(1/4) sum_k C_k∘L^k  where E = 0.
+
+So where read_back_q finds M's digits to be B(q_j), [L, M] = 0 is E = 0,
+and M^2 = F(L) is E = 0 and C = 0 at x = 0, as C' = -2QE.  Otherwise
+[L, M] is expanded, and M^2 = F(L) is certified without forming M^2 or
+F(L), in two lines:
 
   (<=) if [L, M] = 0, then R = M^2 - F(L) commutes with L, as the
        coefficients of F are x-free.  The top coefficient of [L, R] is
@@ -47,18 +58,20 @@ and taking adjoints gives sum_k c_k L^k = -sum_k c_k L^k, so every c_k is
 parameters.
 
 verify_pair(pair, samples) is the one verification engine: it certifies
-the pair it is given, for the CLI and the tests alike.  With E the
-fifth-order residual of Q and C = 4F - rhs(*), C' = -2Q E in a domain,
-so C = 0 exactly when E = 0 and C = 0 at x = 0.  Each check reads one
-certificate, formed once:
+the pair it is given, for the CLI and the tests alike.  C' = -2Q E in a
+domain, so C = 0 exactly when E = 0 and C = 0 at x = 0.  Each check reads
+one certificate, formed once:
 
     q_ode, derived_ode    E = 0
     curve_identity        E = 0 and 4F = rhs(*) at x = 0 (curve_at_x0)
     trace_identity        W - 2[z^(g-1)]Q + c_2g = 0
     reduction_*, series_* those two, Q's shape and L's normal form
-    self_adjoint_l4, _m   L* = L; X(M*) = X(M), once [L, M] = 0
-    commutation           [L, M] = 0, formed once as pair.bracket
-    square_identity       [L, M] = 0 and X(M^2) = X(F(L))
+    self_adjoint_l4, _m   L* = L; X(M*) = X(M), once commutation holds
+    commutation           E(Q~) = 0, Q~ = read_back_q(M), where a parameter
+                          occurs, L is normal and Q~ is found; else
+                          [L, M] = 0, formed once as pair.bracket
+    square_identity       that and rhs(*)(Q~)/4 = F at x = 0; else
+                          [L, M] = 0 and X(M^2) = X(F(L))
     curve_nonsingular     disc_z F != 0, where no parameter occurs
     the root-level checks one numeric.verify_krichever call per sample
                           point; potential_recovery also needs E = 0 and
@@ -120,14 +133,15 @@ def build_companion(qp: QPolynomial, l4: DiffOp) -> DiffOp:
     qcs = qp.q_z_coeffs()
     if not (qcs and qcs[-1] == Poly.one()):
         raise ValueError("Q must be monic in z")
-    v = qp.v
-    half = Rat(1, 2)
-    blocks = []
-    for qj in qcs:
-        qjx = qj.diff("x")
-        blocks.append(DiffOp([qj * v + half * qjx.diff("x"), -qjx, qj]))
-    h = DiffOp([v, Poly.zero(), Poly.one()])
-    return poly_of_products(blocks, l4, [[h, h], [DiffOp([qp.w])]])
+    h = DiffOp([qp.v, Poly.zero(), Poly.one()])
+    return poly_of_products([_block(qj, qp.v) for qj in qcs], l4,
+                            [[h, h], [DiffOp([qp.w])]])
+
+
+def _block(q: Poly, v: Poly) -> DiffOp:
+    """B(q) = q(D^2 + V) - q'D + q''/2."""
+    qx = q.diff("x")
+    return DiffOp([q * v + Rat(1, 2) * qx.diff("x"), -qx, q])
 
 
 def build_pair(g: int, params: dict | None = None) -> OperatorPair:
@@ -166,8 +180,10 @@ def verify_square_identity(pair: OperatorPair) -> DiffOp:
     return DiffOp(x0_of_product(pair.m, pair.m)) - x0_f_of_l
 
 
-def verify_self_adjoint(pair: OperatorPair) -> DiffOp:
-    """An operator that is zero exactly when M* = M.
+def verify_self_adjoint(pair: OperatorPair, l_self_adjoint: bool,
+                        commutes: bool) -> DiffOp:
+    """An operator that is zero exactly when M* = M, given the verdicts
+    L* = L and [L, M] = 0.
 
     When L is monic of positive order, L* = L and [L, M] = 0, then
     R = M* - M commutes with L (module docstring), so, as in
@@ -177,10 +193,36 @@ def verify_self_adjoint(pair: OperatorPair) -> DiffOp:
     """
     l4, m = pair.l4, pair.m
     if (l4.order() < 1 or l4.coeffs[-1] != Poly.one()
-            or not pair.bracket.is_zero() or not is_self_adjoint(l4)):
+            or not (commutes and l_self_adjoint)):
         return adjoint(m) - m
     return (DiffOp(x0_of_adjoint(m))
             - DiffOp([c.coeff_in("x", 0) for c in m.coeffs]))
+
+
+def read_back_q(m: DiffOp, qp: QPolynomial) -> Poly | None:
+    """Q~ = sum_j r_j z^j when M = sum_j B(r_j)∘L^j, j = 0..g, for L =
+    quartic_from_potentials(V, W) and B(r) = r(D^2 + V) - r'D + r''/2;
+    else None.  The digits are the remainders of g right divisions by the
+    monic L and the last quotient, each of order below 4, so the sum is
+    M itself; Q~ collects their D^2 coefficients."""
+    l4 = quartic_from_potentials(qp.v, qp.w)
+    dls = [op_mul(DiffOp([0] * k + [1]), l4).coeffs  # D^k∘L, formed once
+           for k in range(len(m.coeffs) - 4)]
+    rest, q = list(m.coeffs), Poly.zero()
+    for j in range(qp.g + 1):
+        quot = [Poly.zero()] * (len(rest) - 4 if j < qp.g else 0)
+        for k in range(len(quot) - 1, -1, -1):
+            quot[k] = rest.pop()  # the top coefficient; D^k∘L is monic
+            neg = -quot[k]
+            for o, t in enumerate(dls[k][:-1]):
+                if t:
+                    rest[o] += neg * t
+        rj = rest[2] if len(rest) > 2 else Poly.zero()
+        if DiffOp(rest) != _block(rj, qp.v):
+            return None
+        q += rj * Poly.var("z", j)
+        rest = quot
+    return q
 
 
 def verify_pair(pair: OperatorPair, samples: int = 3) -> list[dict]:
@@ -215,13 +257,26 @@ def verify_pair(pair: OperatorPair, samples: int = 3) -> list[dict]:
     for key in ("leading_term", "potential_v", "potential_w",
                 "self_adjoint_b1", "odd_coeffs_vanish"):
         add(f"series_{key}", monic and (trace_ok or key != "potential_w"))
-    add("self_adjoint_l4", is_self_adjoint(pair.l4))
-    add("self_adjoint_m", verify_self_adjoint(pair).is_zero())
-    add("commutation", verify_commutation(pair).is_zero(), "[L4, M] = 0")
-    add("square_identity", verify_square_identity(pair).is_zero(),
-        "M^2 = F(L4)")
-    if any(p.degree(name) > 0 for p in (qp.q, qp.v, qp.w, curve.as_poly())
-           for name in PARAM_NAMES):
+    symbolic = any(p.degree(name) > 0 for name in PARAM_NAMES
+                   for p in (qp.q, qp.v, qp.w, curve.as_poly()))
+    # M's digits are faster than the certificates with a parameter only
+    q_read = read_back_q(pair.m, qp) if symbolic and normal else None
+    if q_read is None:
+        commutes = verify_commutation(pair).is_zero()
+        squares = verify_square_identity(pair).is_zero()
+    elif q_read == qp.q:
+        commutes, squares = ode_ok, curve_ok
+    else:
+        read = qp._replace(q=q_read)
+        commutes = derived_ode_residual(read).is_zero()
+        squares = commutes and curve_at_x0(read) == curve.as_poly()
+    l_self_adjoint = is_self_adjoint(pair.l4)
+    add("self_adjoint_l4", l_self_adjoint)
+    add("self_adjoint_m",
+        verify_self_adjoint(pair, l_self_adjoint, commutes).is_zero())
+    add("commutation", commutes, "[L4, M] = 0")
+    add("square_identity", squares, "M^2 = F(L4)")
+    if symbolic:
         for name in ("curve_nonsingular", "root_distinctness",
                      "potential_recovery", "krichever_relation"):
             add(name, None, "skipped: symbolic parameters")

@@ -449,6 +449,7 @@ def test_term_budget_variable_is_ignored(monkeypatch, capsys):
 
 
 T3 = ["--genus", "3", "--alpha", "a0=2,a1=3/4,a2=3,a3=1"]
+SYM2 = ["--genus", "2", "--alpha", "a0=sym,a1=sym,a2=sym,a3=sym"]
 VERIFY_REFS = [
     (["--genus", "2", "--alpha", "a0=1,a1=0,a2=0,a3=1"], 0,
      "7f9b62983af95126b182635da51ac9f1e330dfd00e4c45def01391b9fe26b47d"),
@@ -483,6 +484,16 @@ VERIFY_REFS = [
     # the high-genus path: a degree-41 F and a degree-20 Q(x0, z)
     (["--genus", "20", "--alpha", "a0=2,a1=3/4,a2=3,a3=1"], 0,
      "43feae2b9b7fdffb56f22a763d74ea5fd41e9472161e1988a02341a32c12bcdf"),
+    # fully symbolic: each injected fault, and g=4, where M's L-adic
+    # digits decide commutation and the square identity
+    (SYM2 + ["--inject-fault", "q"], 1,
+     "2b52554ea6b2fdcd308dade3792a67f633ecf1e2eda8ebc77953d4940cda4cc6"),
+    (SYM2 + ["--inject-fault", "curve"], 1,
+     "28a90a1db5dcbd0e79d29978bf7f2dbf57db217122c6c6e41aba51444daa74f8"),
+    (SYM2 + ["--inject-fault", "companion"], 1,
+     "fb37d8d72ea422acebe97ede5b212febcb9e8e50eb1cb8bd2495df4d6e5bdb7a"),
+    (["--genus", "4", "--alpha", "a0=sym,a1=sym,a2=sym,a3=sym"], 0,
+     "332119ff090e812dba207b3fcc3043ba9b9b134dadf9eb4e6fabf39a59fd4b03"),
 ]
 
 

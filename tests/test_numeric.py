@@ -20,7 +20,8 @@ from weylpair.numeric import (DegenerateDerivativeError, MultipleRootError,
                               verify_potential_recovery)
 from weylpair.poly import Poly, Rat, divides, shares_root
 from weylpair.qsolver import (DegreeError, QPolynomial, XDependenceError,
-                              build_q, derived_ode_residual, extract_curve)
+                              _x_derivs, build_q, derived_ode_residual,
+                              extract_curve)
 
 from conftest import random_param_tuple
 
@@ -516,3 +517,16 @@ def test_degenerate_sample_points_raise():
     branch = SpectralCurve(g=1, coeffs=tuple(f.coeffs_in("z")[:3]))
     with pytest.raises(DegenerateDerivativeError):
         verify_krichever(qp1, branch, None, 2)
+
+
+def test_verify_krichever_evaluates_each_slice_once(monkeypatch):
+    # Q(x0, .) and its four x-derivatives, then V, V' and W: each is
+    # evaluated at x0 once, with disc_z tested on the first slice
+    qp = build_q(2, NUMERIC)
+    curve = extract_curve(qp)
+    evaluated = []
+    evaluate = Poly.eval
+    monkeypatch.setattr(Poly, "eval", lambda self, at: (
+        evaluated.append(self) or evaluate(self, at)))
+    assert verify_krichever(qp, curve, None, Rat(1, 2))["pass"]
+    assert evaluated == [*_x_derivs(qp.q, 4), qp.v, qp.v.diff("x"), qp.w]

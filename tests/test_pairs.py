@@ -9,15 +9,16 @@ import random
 import pytest
 import sympy
 
-from weylpair import pairs
+from weylpair import pairs, weyl
 from weylpair.curve import ParamError, SpectralCurve
 from weylpair.pairs import (OperatorPair, build_companion, build_pair,
                             build_quartic, commutant_solve, in_affine_span,
                             is_power_span, quartic_from_potentials,
-                            verify_commutation, verify_self_adjoint,
-                            verify_square_identity)
+                            read_back_q, verify_commutation, verify_pair,
+                            verify_self_adjoint, verify_square_identity)
 from weylpair.poly import Poly, Rat
-from weylpair.qsolver import build_q, potentials, resolve_alphas
+from weylpair.qsolver import (build_q, curve_at_x0, derived_ode_residual,
+                              potentials, resolve_alphas)
 from weylpair.reference import (match_reference_examples, operator_diff,
                                 reference_companion,
                                 reference_curve_constants)
@@ -277,6 +278,144 @@ def test_square_identity_negative_control():
     assert res.order() == 0  # constant perturbation leaves constant residual
 
 
+# -- the operator lemmas behind the L-adic read-back -------------------------
+
+class Jets:
+    """Differential polynomials in x: a sympy ring on the jet symbols of V,
+    W and q_0..q_g, with the derivation d fixed by image[i], the image of
+    generator i (None where a jet ends).  Free: q_j^(k) is the symbol
+    q{j}_{k}.  Reduced: q_g = 1, and each other q_j is one symbol whose
+    image the caller sets.  An operator is its coefficient list, D^i at
+    index i."""
+
+    def __init__(self, g: int, n: int, reduced: bool):
+        qn = [f"q{j}" for j in range(g)] if reduced else [
+            f"q{j}_{k}" for j in range(g + 1) for k in range(n + 1)]
+        self.r, *gens = sympy.polys.rings.ring(
+            [f"{f}{k}" for f in "VW" for k in range(n + 1)] + qn + ["z"],
+            sympy.QQ)
+        jets = [gens[i:i + n + 1] for i in range(0, len(gens) - 1, n + 1)]
+        self.image = [None] * len(gens)
+        for jet in jets if not reduced else jets[:2]:
+            for k in range(n):
+                self.image[gens.index(jet[k])] = jet[k + 1]
+        self.image[-1] = self.r.zero
+        (self.v, *_), (self.w, *_) = jets[:2]
+        self.q = (gens[2 * n + 2:-1] + [self.r.one] if reduced
+                  else [jet[0] for jet in jets[2:]])
+        self.z = gens[-1]
+
+    def d(self, p, times=1):
+        for _ in range(times):
+            out = self.r.zero
+            for mon, c in p.items():
+                for i, e in enumerate(mon):
+                    if e:
+                        assert self.image[i] is not None, self.r.gens[i]
+                        out += self.r({mon[:i] + (e - 1,) + mon[i + 1:]:
+                                       c * e}) * self.image[i]
+            p = out
+        return p
+
+    def mul(self, a, b):
+        out = [self.r.zero] * (len(a) + len(b) - 1)
+        for k in range(len(a)):
+            for i in range(k, len(a)):
+                for j, bj in enumerate(b):
+                    out[i + j - k] += math.comb(i, k) * a[i] * bj
+            b = [self.d(bj) for bj in b] if k + 1 < len(a) else b
+        return out
+
+    def add(self, *ops):
+        return [sum((op[i] for op in ops if i < len(op)), self.r.zero)
+                for i in range(max(map(len, ops)))]
+
+    def equal(self, a, b) -> bool:
+        return not any(self.add(a, [-c for c in b]))
+
+    def ode(self, p):
+        """E(p) without its 4 z p' term, term by term as in qsolver."""
+        d, v, w = self.d, self.v, self.w
+        return (d(p, 5) + 4 * v * d(p, 3) + 6 * d(v) * d(p, 2)
+                + 2 * (d(v, 2) - 2 * w) * d(p) - 2 * d(w) * p)
+
+    def z_coeffs(self, p):
+        zi = self.r.gens.index(self.z)
+        out = []
+        for mon, c in p.items():
+            out += [self.r.zero] * (mon[zi] + 1 - len(out))
+            out[mon[zi]] += self.r({mon[:zi] + (0,) + mon[zi + 1:]: c})
+        return out
+
+    def pair(self):
+        """(L, M, Q, sum_k digits[k]∘L^k as a function of the digits)."""
+        h = [self.v, self.r.zero, self.r.one]
+        l4 = self.add(self.mul(h, h), [self.w])
+
+        def horner(digits):
+            out = []
+            for dig in reversed(digits):
+                out = self.add(self.mul(out, l4) if out else [], dig)
+            return out
+        m = horner([[qj * self.v + self.d(qj, 2) / 2, -self.d(qj), qj]
+                    for qj in self.q])
+        big_q = sum((qj * self.z**j for j, qj in enumerate(self.q)),
+                    self.r.zero)
+        return l4, m, big_q, horner
+
+
+@pytest.mark.parametrize("g", [1, 2])
+def test_operator_lemmas(g):
+    """The two operator lemmas of the L-adic read-back (pairs.read_back_q),
+    for undetermined q_0..q_g, V and W of x.
+
+    With L = (D^2+V)^2 + W, B(q) = q(D^2+V) - q'D + q''/2, M =
+    sum_j B(q_j)∘L^j, E the fifth-order residual of Q = sum_j q_j z^j, E_k
+    = [z^k]E, and C = 4F - rhs(*) for an x-free F:
+
+    (1) [L, M] = sum_k (1/2)(E_k∘D + D∘E_k)∘L^k, k = 0..g+1, the z^(g+1)
+        digit being 4 q_g', for every q_j;
+    (2) where E = 0, M^2 - F(L) = -(1/4) sum_k C_k∘L^k, that is M^2 =
+        (1/4) sum_k rhs_k∘L^k.  Proved for q_g = 1 in the ring that E = 0
+        leaves: E_{j+1} = 0 gives q_j' (j < g), and E_0 = 0, linear in
+        W^(4g+1) over Q, gives W^(4g+1).  rhs(*) is quadratic in Q and M
+        linear in it, so every constant q_g != 0 follows.
+
+    The chain (arXiv:1107.3356; Burchnall-Chaundy 1923): the recursion
+    solves E = 0 (qsolver.build_deltas), so C' = -2QE makes C x-free and
+    F = rhs(*)/4 (test_curve_residual_lemmas); then (1) gives [L, M] = 0
+    and (2) M^2 = F(L).  A sum_k R_k∘L^k with every R_k of order below 4
+    is zero only if every R_k is, as L is monic of order 4, so on the
+    digits B(q_j) of M commutation is E = 0 and the square identity is
+    E = 0 and C = 0.
+    """
+    ring = Jets(g, 4 * g + 8, reduced=False)
+    d = ring.d
+    l4, m, big_q, horner = ring.pair()
+    e = ring.z_coeffs(ring.ode(big_q) + 4 * ring.z * d(big_q))
+    assert len(e) == g + 2 and e[g + 1] == 4 * d(ring.q[g])
+    assert ring.equal(ring.add(ring.mul(l4, m), [-c for c in ring.mul(m, l4)]),
+                      horner([[d(ek) / 2, ek] for ek in e]))
+
+    ring = Jets(g, 10 * g + 8, reduced=True)
+    d, gens, q = ring.d, ring.r.gens, ring.q
+    for j in range(g - 1, -1, -1):
+        ring.image[gens.index(q[j])] = -ring.ode(q[j + 1]) / 4
+    e0, top = ring.ode(q[0]), gens[gens.index(ring.w) + 4 * g + 1]
+    lead = e0.coeff_wrt(top, 1)
+    assert e0.degree(top) == 1 and lead.is_ground and lead
+    assert all(ring.image[gens.index(qj)].degree(top) < 1 for qj in q[:g])
+    ring.image[gens.index(top) - 1] = top - e0 / lead
+    l4, m, big_q, horner = ring.pair()
+    assert ring.ode(big_q) + 4 * ring.z * d(big_q) == 0  # here E = 0
+    d1, d2, d3, d4 = (d(big_q, k) for k in range(1, 5))
+    rhs = (big_q * (4 * (ring.z - ring.w) * big_q + 4 * d(ring.v) * d1
+                    + 8 * ring.v * d2 + 2 * d4)
+           - d1 * (4 * ring.v * d1 + 2 * d3) + d2**2)
+    assert ring.equal(ring.mul(m, m),
+                      horner([[c / 4] for c in ring.z_coeffs(rhs)]))
+
+
 def square_oracle(pair: OperatorPair) -> DiffOp:
     """M*M - F(L) by full expansion: the reference for the certificate,
     which forms neither operator."""
@@ -422,6 +561,127 @@ def test_self_adjoint_controls(g, params):
         assert is_self_adjoint(m) is self_adjoint
 
 
+# -- the L-adic read-back against the certificates --------------------------
+
+def read_back_verdicts(pair: OperatorPair):
+    """(commutation, square_identity) as the read-back decides them, or
+    None where M's digits are not all blocks B(q)."""
+    q = read_back_q(pair.m, pair.q)
+    if q is None:
+        return None
+    read = pair.q._replace(q=q)
+    commutes = derived_ode_residual(read).is_zero()
+    return commutes, commutes and curve_at_x0(read) == pair.curve.as_poly()
+
+
+def read_back_cases(pair: OperatorPair):
+    """(label, pair, whether M's digits stay blocks): M, -M, M + x^k,
+    M + L^j/3, M + x*D, the companion of Q + x*z^(g-1) (blocks, E != 0)
+    and c_0 + 1 (M kept)."""
+    g, l4, qp = pair.g, pair.l4, pair.q
+
+    def with_m(m):
+        return pair._replace(m=m)
+    yield "M", pair, True
+    yield "-M", with_m(-pair.m), True
+    for k in (0, 1, 4 * g + 3):
+        yield f"M+x^{k}", with_m(pair.m + DiffOp([x ** k])), False
+    for j in (1, g):
+        yield f"M+L^{j}/3", with_m(pair.m + (l4 ** j).scale(Rat(1, 3))), False
+    yield "M+xD", with_m(pair.m + DiffOp([Poly.zero(), x])), False
+    bent = qp._replace(q=qp.q + x * Poly.var("z", g - 1))
+    yield "B(Q+xz^(g-1))", with_m(build_companion(bent, l4)), True
+    c = pair.curve.coeffs
+    yield "c0+1", pair._replace(curve=pair.curve._replace(
+        coeffs=(c[0] + 1, *c[1:]))), True
+
+
+READ_BACK_POINTS = (
+    [pytest.param(g, {}, id=f"symbolic-g{g}") for g in (1, 2, 3)]
+    + [pytest.param(g, SLICE, id=f"slice-g{g}") for g in (2, 3)]
+    + [pytest.param(g, {"a0": 2, "a1": Rat(3, 4), "a2": 3, "a3": 1},
+                    id=f"numeric-g{g}") for g in (1, 2, 3, 4)])
+
+
+@pytest.mark.parametrize("g,params", READ_BACK_POINTS)
+def test_read_back_agrees_with_certificates(g, params):
+    # where M's digits are blocks, E and the x = 0 jet of the read Q give
+    # the verdicts of [L, M] and of the x^0 square certificate; elsewhere
+    # verify_pair falls back to those certificates.  Numeric pairs take
+    # the certificates in verify_pair, so only the read-back runs here
+    symbolic = not params or len(params) < 4
+    seen = set()
+    for label, pair, blocks in read_back_cases(build_pair(g, params)):
+        certs = (verify_commutation(pair).is_zero(),
+                 verify_square_identity(pair).is_zero())
+        read = read_back_verdicts(pair)
+        assert (read is not None) is blocks, label
+        assert read in (None, certs), label
+        seen.add((label, certs))
+        if symbolic:
+            checks = {c["name"]: c["pass"] for c in verify_pair(pair, 1)}
+            assert (checks["commutation"], checks["square_identity"]) \
+                == certs, label
+    assert {("M", (True, True)), ("-M", (True, True)),
+            ("B(Q+xz^(g-1))", (False, False)), ("c0+1", (True, False)),
+            ("M+L^1/3", (True, False)), ("M+x^1", (False, False))} <= seen
+
+
+@pytest.mark.parametrize("g,params", [(2, {}), (3, SLICE)])
+def test_symbolic_verify_forms_no_bracket_and_no_square(g, params,
+                                                        monkeypatch):
+    # with a parameter, [L, M] = 0 and M^2 = F(L) are read off M's
+    # digits: no bracket, no x^0 square, and adjoint(L) once per run; M*
+    # in full only where the premise [L, M] = 0 fails (E != 0)
+    pair = build_pair(g, params)
+    qp, f = pair.q, pair.curve.coeffs
+    bent = qp._replace(q=qp.q + x * Poly.var("z", g - 1))
+    cases = [(pair, (True, True)),
+             (pair._replace(curve=pair.curve._replace(
+                 coeffs=(f[0] + 1, *f[1:]))), (True, False)),
+             (pair._replace(m=build_companion(bent, pair.l4)),
+              (False, False))]
+
+    def refuse(*args):
+        raise AssertionError("formed on the read-back path")
+    adjoints = []
+    adjoint = weyl.adjoint
+    monkeypatch.setattr(weyl, "commutator", refuse)
+    monkeypatch.setattr(pairs, "commutator", refuse)
+    monkeypatch.setattr(pairs, "x0_of_product", refuse)
+    monkeypatch.setattr(weyl, "adjoint",
+                        lambda a: adjoints.append(a) or adjoint(a))
+    for case, verdicts in cases:
+        monkeypatch.setattr(pairs, "adjoint",
+                            adjoint if verdicts[0] is False else refuse)
+        checks = {c["name"]: c["pass"] for c in verify_pair(case)}
+        assert (checks["commutation"], checks["square_identity"]) \
+            == verdicts
+        assert checks["self_adjoint_m"] is verdicts[0]
+    assert adjoints == [pair.l4] * 3
+
+
+def test_numeric_verify_forms_adjoint_l_once(monkeypatch):
+    # verify_self_adjoint takes L* = L from verify_pair, which forms
+    # adjoint(L) once
+    pair = build_pair(2, NUMERIC)
+    adjoints = []
+    adjoint_l = weyl.adjoint
+    monkeypatch.setattr(weyl, "adjoint",
+                        lambda a: adjoints.append(a) or adjoint_l(a))
+    monkeypatch.setattr(pairs, "adjoint", None)
+    checks = verify_pair(pair, 1)
+    assert all(c["pass"] for c in checks)
+    assert adjoints == [pair.l4]
+
+
+def self_adjoint_cert(pair: OperatorPair) -> DiffOp:
+    """verify_self_adjoint with the premises L* = L and [L, M] = 0 decided
+    here, as verify_pair hands them in."""
+    return verify_self_adjoint(pair, is_self_adjoint(pair.l4),
+                               pair.bracket.is_zero())
+
+
 @pytest.mark.parametrize("g", [1, 2, 3, 4, 5, 6])
 def test_verify_self_adjoint_matches_adjoint(g, monkeypatch):
     # on built pairs (numeric and the symbolic-a0 slice) the x^0 route
@@ -434,12 +694,12 @@ def test_verify_self_adjoint_matches_adjoint(g, monkeypatch):
         assert pair.bracket.is_zero()
         with monkeypatch.context() as mp:
             mp.setattr(pairs, "adjoint", None)
-            assert verify_self_adjoint(pair).is_zero()
+            assert self_adjoint_cert(pair).is_zero()
         assert is_self_adjoint(pair.m)
         for extra in (DiffOp([x]), DiffOp([Poly.zero(), x]),
                       DiffOp([Poly.zero(), x**2]), deriv(4 * g + 1)):
             m = pair.m + extra
-            assert (verify_self_adjoint(pair._replace(m=m)).is_zero()
+            assert (self_adjoint_cert(pair._replace(m=m)).is_zero()
                     is is_self_adjoint(m))
 
 
@@ -459,7 +719,7 @@ def test_verify_self_adjoint_negative_control():
     for l, m, self_adjoint in cases:
         pair = OperatorPair(g=1, l4=l, m=m, curve=None, q=None)
         assert pair.bracket.is_zero()
-        assert verify_self_adjoint(pair).is_zero() is self_adjoint
+        assert self_adjoint_cert(pair).is_zero() is self_adjoint
         assert is_self_adjoint(m) is self_adjoint
 
 
