@@ -18,12 +18,21 @@ from .errors import PARAM_NAMES, ParamError, check_a3
 from .poly import Poly, shares_root
 
 
+def free_param(*polys: Poly) -> str | None:
+    """The first parameter, in PARAM_NAMES order, that occurs in one of
+    the polynomials; None when they are numeric."""
+    for name in PARAM_NAMES:
+        if any(p.degree(name) > 0 for p in polys):
+            return name
+    return None
+
+
 def require_bound(*polys: Poly) -> None:
     """Raise ParamError naming the first parameter that occurs in one of
     the polynomials."""
-    for name in PARAM_NAMES:
-        if any(p.degree(name) > 0 for p in polys):
-            raise ParamError(f"parameter {name} left unbound")
+    name = free_param(*polys)
+    if name is not None:
+        raise ParamError(f"parameter {name} left unbound")
 
 
 class SpectralCurve(namedtuple("SpectralCurve", "g coeffs")):

@@ -44,18 +44,19 @@ parts, R <- X(R∘L) + c_j from R = 1, with every R x-free.
 commutant_solve is a second, independent route to M, from L alone; its
 docstring has the recursion.
 
-Why M is self-adjoint (arXiv:1107.3356; Burchnall-Chaundy 1923).  For
-L* = L, [L, M*] = -[L, M]*, so [L, M* - M] = -([L, M] + [L, M]*): once
-[L, M] = 0, M* - M commutes with L, and its order is below 4g+2, as M is
-monic of even order.  The basis that commutant_solve(L, 4g+2) returns
-spans every operator of order below 4g+2 that commutes with L, so where
-is_power_span accepts it, that is span{1, L, ..., L^g}: the monic
-commuting orders below 4g+2 are 0, 4, ..., 4g, which for a nonsingular
-curve are twice the pole orders at its branch point at infinity, whose
-gaps are 1, 3, ..., 2g-1.  Then M* - M = sum_k c_k L^k with constant c_k,
-and taking adjoints gives sum_k c_k L^k = -sum_k c_k L^k, so every c_k is
-0 and M* = M.  The tests check the span at g = 1..6 on seeded numeric
-parameters.
+Why M is self-adjoint (arXiv:1107.3356; Burchnall-Chaundy 1923).  Let
+L* = L and M^2 = F(L) with F in K[z], K = Q(a0..a3), and let M != 0 have
+even order n > 0.
+  1. L and M commute with M^2, whose centralizer is commutative (Amitsur,
+     Pacific J. Math. 1958), so [L, M] = 0.
+  2. [L, M*] = -[L, M]* = 0 and (M*)^2 = F(L)* = F(L), as F is x-free,
+     so M* lies in the same commutative centralizer.
+  3. So (M* - M)(M* + M) = 0, and the Weyl algebra over K is a domain.
+  4. M* + M has leading coefficient 2*m_n != 0, as n is even: M* = M.
+At n = 0, M = m(x) with m^2 = F(L) x-free, so m is x-free and M* = M.
+verify_self_adjoint takes the premises from the self_adjoint_l4 and
+square_identity verdicts and M's order, and forms M* only where one
+fails.
 
 verify_pair(pair, samples) is the one verification engine: it certifies
 the pair it is given, for the CLI and the tests alike.  C' = -2Q E in a
@@ -66,7 +67,8 @@ one certificate, formed once:
     curve_identity        E = 0 and 4F = rhs(*) at x = 0 (curve_at_x0)
     trace_identity        W - 2[z^(g-1)]Q + c_2g = 0
     reduction_*, series_* those two, Q's shape and L's normal form
-    self_adjoint_l4, _m   L* = L; X(M*) = X(M), once commutation holds
+    self_adjoint_l4, _m   L* = L; M* = M by that and square_identity for
+                          M of even order, else M* - M formed in full
     commutation           E(Q~) = 0, Q~ = read_back_q(M), where a parameter
                           occurs, L is normal and Q~ is found; else
                           [L, M] = 0, formed once as pair.bracket
@@ -84,15 +86,14 @@ import math
 from collections import namedtuple
 from functools import cached_property
 
-from .curve import is_nonsingular
-from .errors import (INTERNAL_ERRORS, PARAM_NAMES, MultipleRootError,
-                     ParamError)
+from .curve import free_param, is_nonsingular
+from .errors import INTERNAL_ERRORS, MultipleRootError, ParamError
 from .poly import Poly, Rat
 from .qsolver import (QPolynomial, _x_derivs, build_q, curve_at_x0,
                       derived_ode_residual, extract_curve, potentials,
                       resolve_alphas, trace_identity_residual)
 from .weyl import (DiffOp, adjoint, commutator, is_self_adjoint, op_mul,
-                   poly_of_products, x0_of_adjoint, x0_of_product)
+                   poly_of_products, x0_of_product)
 
 
 class OperatorPair(namedtuple("OperatorPair", "g l4 m curve q")):
@@ -181,22 +182,17 @@ def verify_square_identity(pair: OperatorPair) -> DiffOp:
 
 
 def verify_self_adjoint(pair: OperatorPair, l_self_adjoint: bool,
-                        commutes: bool) -> DiffOp:
+                        squares: bool) -> DiffOp:
     """An operator that is zero exactly when M* = M, given the verdicts
-    L* = L and [L, M] = 0.
+    L* = L and M^2 = F(L).
 
-    When L is monic of positive order, L* = L and [L, M] = 0, then
-    R = M* - M commutes with L (module docstring), so, as in
-    verify_square_identity, R = 0 exactly when the x^0 parts of its
-    coefficients vanish; it is those x^0 parts, read by x0_of_adjoint
-    from Taylor coefficients of M.  Otherwise it is M* - M in full.
+    Where both hold and M has even order it is the zero operator, by the
+    argument of the module docstring; otherwise it is M* - M in full.
     """
-    l4, m = pair.l4, pair.m
-    if (l4.order() < 1 or l4.coeffs[-1] != Poly.one()
-            or not (commutes and l_self_adjoint)):
-        return adjoint(m) - m
-    return (DiffOp(x0_of_adjoint(m))
-            - DiffOp([c.coeff_in("x", 0) for c in m.coeffs]))
+    m = pair.m
+    if l_self_adjoint and squares and m.order() % 2 == 0:
+        return DiffOp.zero()
+    return adjoint(m) - m
 
 
 def read_back_q(m: DiffOp, qp: QPolynomial) -> Poly | None:
@@ -227,7 +223,11 @@ def read_back_q(m: DiffOp, qp: QPolynomial) -> Poly | None:
 
 def verify_pair(pair: OperatorPair, samples: int = 3) -> list[dict]:
     """The checks of `weylpair verify` on the pair, in report order, at
-    x0 = 1/2, 3/2, ...; "pass" is None where a check is skipped."""
+    x0 = 1/2, 3/2, ...; "pass" is None where a check is skipped.  Raises
+    ValueError for samples < 1, under which no root-level check could
+    fail."""
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     g, qp, curve = pair.g, pair.q, pair.curve
     checks = []
 
@@ -257,8 +257,7 @@ def verify_pair(pair: OperatorPair, samples: int = 3) -> list[dict]:
     for key in ("leading_term", "potential_v", "potential_w",
                 "self_adjoint_b1", "odd_coeffs_vanish"):
         add(f"series_{key}", monic and (trace_ok or key != "potential_w"))
-    symbolic = any(p.degree(name) > 0 for name in PARAM_NAMES
-                   for p in (qp.q, qp.v, qp.w, curve.as_poly()))
+    symbolic = free_param(qp.q, qp.v, qp.w, curve.as_poly()) is not None
     # M's digits are faster than the certificates with a parameter only
     q_read = read_back_q(pair.m, qp) if symbolic and normal else None
     if q_read is None:
@@ -273,7 +272,7 @@ def verify_pair(pair: OperatorPair, samples: int = 3) -> list[dict]:
     l_self_adjoint = is_self_adjoint(pair.l4)
     add("self_adjoint_l4", l_self_adjoint)
     add("self_adjoint_m",
-        verify_self_adjoint(pair, l_self_adjoint, commutes).is_zero())
+        verify_self_adjoint(pair, l_self_adjoint, squares).is_zero())
     add("commutation", commutes, "[L4, M] = 0")
     add("square_identity", squares, "M^2 = F(L4)")
     if symbolic:
@@ -384,8 +383,11 @@ def commutant_solve(l4: DiffOp, order: int, known: DiffOp | None = None):
     L: A has a constant leading coefficient c (the top coefficient of
     [L, A] is 4c'), and A/c is a monic solution of order t, run(t) +
     sum_{k<t} c_k run(k) with v(t) + sum_k c_k v(k) = 0, a dependency
-    among v(0), ..., v(n-1) that _echelon records.  At n = 4g+2 this is
-    the span hypothesis of M* = M in the module docstring.
+    among v(0), ..., v(n-1) that _echelon records.  At n = 4g+2,
+    is_power_span checks that this span is span{1, L, ..., L^g}: the
+    monic commuting orders below 4g+2 are 0, 4, ..., 4g, which for a
+    nonsingular curve are twice the pole orders at its branch point at
+    infinity, whose gaps are 1, 3, ..., 2g-1.
 
     Returns (particular, basis): the affine solution set is particular +
     span(basis).  Raises ValueError when the system is inconsistent.  If
@@ -394,7 +396,7 @@ def commutant_solve(l4: DiffOp, order: int, known: DiffOp | None = None):
     commuting operator outside it means a defect).  The solver reads only
     L, never Q or the closed-form companion.
     """
-    if any(c.degree(name) > 0 for c in l4.coeffs for name in PARAM_NAMES):
+    if free_param(*l4.coeffs) is not None:
         raise ValueError("commutant_solve requires numeric parameters")
     if l4.order() != 4 or l4.coeff(4) != Poly.one():
         raise ValueError("commutant_solve requires a monic L of order 4")

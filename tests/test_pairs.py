@@ -632,7 +632,7 @@ def test_symbolic_verify_forms_no_bracket_and_no_square(g, params,
                                                         monkeypatch):
     # with a parameter, [L, M] = 0 and M^2 = F(L) are read off M's
     # digits: no bracket, no x^0 square, and adjoint(L) once per run; M*
-    # in full only where the premise [L, M] = 0 fails (E != 0)
+    # in full only where the premise M^2 = F(L) fails (E != 0 or c_0 + 1)
     pair = build_pair(g, params)
     qp, f = pair.q, pair.curve.coeffs
     bent = qp._replace(q=qp.q + x * Poly.var("z", g - 1))
@@ -653,7 +653,7 @@ def test_symbolic_verify_forms_no_bracket_and_no_square(g, params,
                         lambda a: adjoints.append(a) or adjoint(a))
     for case, verdicts in cases:
         monkeypatch.setattr(pairs, "adjoint",
-                            adjoint if verdicts[0] is False else refuse)
+                            adjoint if verdicts[1] is False else refuse)
         checks = {c["name"]: c["pass"] for c in verify_pair(case)}
         assert (checks["commutation"], checks["square_identity"]) \
             == verdicts
@@ -676,51 +676,118 @@ def test_numeric_verify_forms_adjoint_l_once(monkeypatch):
 
 
 def self_adjoint_cert(pair: OperatorPair) -> DiffOp:
-    """verify_self_adjoint with the premises L* = L and [L, M] = 0 decided
+    """verify_self_adjoint with the premises L* = L and M^2 = F(L) decided
     here, as verify_pair hands them in."""
     return verify_self_adjoint(pair, is_self_adjoint(pair.l4),
-                               pair.bracket.is_zero())
+                               verify_square_identity(pair).is_zero())
+
+
+def assert_verify_adjoints_l_only(pair: OperatorPair, monkeypatch):
+    """verify_pair forms adjoint once, on L, and its self_adjoint_m is the
+    oracle's verdict is_self_adjoint(M), which holds."""
+    adjoints = []
+    with monkeypatch.context() as mp:
+        for module in (weyl, pairs):
+            mp.setattr(module, "adjoint",
+                       lambda a: adjoints.append(a) or adjoint(a))
+        checks = {c["name"]: c["pass"] for c in verify_pair(pair, 1)}
+    assert adjoints == [pair.l4]
+    assert checks["self_adjoint_m"] is is_self_adjoint(pair.m) is True
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4, 5, 6])
 def test_verify_self_adjoint_matches_adjoint(g, monkeypatch):
-    # on built pairs (numeric and the symbolic-a0 slice) the x^0 route
-    # runs, forming no M*, and agrees with the full adjoint; with M + x,
-    # M + x*D, M + x^2*D and M + D^(4g+1), [L, M] = 0 fails and the full
-    # adjoint decides (for M + x^2*D the x^0 parts of M* - M vanish)
+    # on built pairs (numeric and the symbolic-a0 slice) L* = L and
+    # M^2 = F(L) decide, forming no M*, and agree with the full adjoint;
+    # with M + x, M + x*D, M + x^2*D and M + D^(4g+1), [L, M] = 0 fails,
+    # and with M + L/3 M^2 = F(L) fails alone, so the full adjoint decides
     rng = random.Random(5000 + g)
     for params in (random_param_tuple(rng), SLICE):
         pair = build_pair(g, params)
-        assert pair.bracket.is_zero()
         with monkeypatch.context() as mp:
             mp.setattr(pairs, "adjoint", None)
             assert self_adjoint_cert(pair).is_zero()
-        assert is_self_adjoint(pair.m)
+        assert_verify_adjoints_l_only(pair, monkeypatch)
         for extra in (DiffOp([x]), DiffOp([Poly.zero(), x]),
-                      DiffOp([Poly.zero(), x**2]), deriv(4 * g + 1)):
+                      DiffOp([Poly.zero(), x**2]), deriv(4 * g + 1),
+                      pair.l4.scale(Rat(1, 3))):
             m = pair.m + extra
             assert (self_adjoint_cert(pair._replace(m=m)).is_zero()
                     is is_self_adjoint(m))
 
 
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_symbolic_verify_forms_adjoint_of_l_only(g, monkeypatch):
+    assert_verify_adjoints_l_only(build_pair(g, {}), monkeypatch)
+
+
 def test_verify_self_adjoint_negative_control():
-    # [L, M] = 0 and L* = L, yet M* != M: L = D^4 with M = D^5 or D^5 + L
-    # (x^0 parts of M* - M nonzero), and M = a0*D^4 + D^2 with M* = M.
-    # Then [L, M] = 0 with x^0 parts of M* - M zero and M* != M, where
-    # the x^0 route does not apply: L = D^4 + x^2*D = M is not
-    # self-adjoint, and L = A∘A with the skew A = x^2*D + x = M is
-    # self-adjoint but not monic
-    l4 = deriv(4)
+    # one control per premise of M* = M, each with a nonzero decision:
+    # odd order (L = D^2 with M = D, and L = A∘A with the skew A = x^2*D
+    # + x = M, not monic: M^2 = L, M* = -M), no square (L = D^2 with
+    # M = D^2 + D, and L = D^4 with M = D^5), and L* != L (L = D^4 +
+    # x^2*D = M with M^2 = L^2, and conjugated_pair).  Where a premise
+    # fails the full adjoint decides, and accepts M = a0*D^4 + D^2
+    d2, l4 = deriv(2), deriv(4)
     drift = l4 + DiffOp([Poly.zero(), x**2])
     skew = DiffOp([x, x**2])
-    cases = [(l4, deriv(5), False), (l4, deriv(5) + l4, False),
-             (l4, deriv(4).scale(a0) + deriv(2), True),
-             (drift, drift, False), (op_mul(skew, skew), skew, False)]
-    for l, m, self_adjoint in cases:
+    built = build_pair(1, NUMERIC)
+    conj = conjugated_pair(built)
+    z2 = [Poly.zero(), Poly.zero(), Poly.one()]
+    cases = [(d2, deriv(1), z2[1:], False),
+             (op_mul(skew, skew), skew, z2[1:], False),
+             (d2, d2 + deriv(1), None, False), (l4, deriv(5), None, False),
+             (drift, drift, z2, False),
+             (conj.l4, conj.m, built.curve.as_poly().coeffs_in("z"), False),
+             (l4, l4.scale(a0) + d2, None, True)]
+    for l, m, f, self_adjoint in cases:
         pair = OperatorPair(g=1, l4=l, m=m, curve=None, q=None)
         assert pair.bracket.is_zero()
-        assert self_adjoint_cert(pair).is_zero() is self_adjoint
+        if f is not None:
+            assert op_mul(m, m) == poly_of_op(f, l)
+        cert = verify_self_adjoint(pair, is_self_adjoint(l), f is not None)
+        assert cert.is_zero() is self_adjoint
         assert is_self_adjoint(m) is self_adjoint
+    assert is_self_adjoint(op_mul(skew, skew))
+    assert not (is_self_adjoint(drift) or is_self_adjoint(conj.l4))
+
+
+def conjugated_pair(pair: OperatorPair, p: Poly = x) -> OperatorPair:
+    """The pair under the Weyl-algebra automorphism D -> D + p(x), x -> x
+    (conjugation by exp of an antiderivative of p): [L, M] = 0 and
+    M^2 = F(L) survive, L* = L does not."""
+    shift = DiffOp([p, Poly.one()])
+    return pair._replace(l4=poly_of_op(pair.l4.coeffs, shift),
+                         m=poly_of_op(pair.m.coeffs, shift))
+
+
+@pytest.mark.parametrize("g,params", [(1, NUMERIC), (2, NUMERIC), (2, {})],
+                         ids=["numeric-g1", "numeric-g2", "symbolic-g2"])
+def test_conjugated_pair_fails_self_adjointness(g, params):
+    # the premise L* = L fails, so the full adjoint decides self_adjoint_m
+    pair = conjugated_pair(build_pair(g, params))
+    checks = {c["name"]: c["pass"] for c in verify_pair(pair, 1)}
+    for name in ("commutation", "square_identity"):
+        assert checks[name] is True, name
+    for name in ("self_adjoint_l4", "self_adjoint_m", "reduction_dpsi"):
+        assert checks[name] is False, name
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_verify_pair_rejects_no_samples(samples, monkeypatch):
+    # with no sample point the root-level checks would pass unread: on Q + x
+    # one sample point fails krichever_relation, and samples < 1 raises
+    # before any check is formed
+    pair = build_pair(2, NUMERIC)
+    bent = pair._replace(q=pair.q._replace(q=pair.q.q + x))
+    checks = {c["name"]: c["pass"] for c in verify_pair(bent, 1)}
+    assert checks["krichever_relation"] is False
+
+    def refuse(*args):
+        raise AssertionError("a check ran")
+    monkeypatch.setattr(pairs, "derived_ode_residual", refuse)
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        verify_pair(bent, samples)
 
 
 def test_reference_genus3_matches_exactly():

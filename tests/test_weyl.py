@@ -492,22 +492,6 @@ def test_x0_of_product_matches_full_product():
         assert weyl.x0_of_product(a, b) == x0_parts(a, b)
 
 
-def test_x0_of_adjoint_matches_full_adjoint():
-    # the x^0 parts of a* from Taylor coefficients of a, against those of
-    # adjoint(a): high x-degrees (so that only x^k with k <= i is read),
-    # zero coefficients, x-free and parameter-bearing operators
-    rng = random.Random(31)
-    cases = [DiffOp.zero(), DiffOp([x**2 + 1]), D, X * D * D,
-             DiffOp([Poly.rat(3), a0, Poly.zero(), Poly.rat(Rat(-1, 2))])]
-    for _ in range(12):
-        cases.append(random_x_op(rng, rng.randint(0, 9), 40, max_deg=12,
-                                 zero_frac=0.4))
-        cases.append(random_param_op(rng, rng.randint(0, 6), 16))
-    for a in cases:
-        full = [c.coeff_in("x", 0) for c in adjoint(a).coeffs]
-        assert weyl.x0_of_adjoint(a) == full, a
-
-
 # -- poly_of_op's packed Horner against the per-step product -----------------
 
 def stepwise_poly_of_op(c: list, op: DiffOp) -> DiffOp:
