@@ -124,7 +124,11 @@ def _check_out(out_path: str | None) -> None:
     if os.path.isdir(out_path):
         err = errno.EISDIR
     elif not os.path.isdir(parent):
-        err = errno.ENOENT
+        try:  # the error open() would meet at the parent
+            os.stat(parent)
+            err = errno.ENOTDIR
+        except OSError as exc:
+            err = exc.errno
     elif not os.access(out_path if os.path.exists(out_path) else parent,
                        os.W_OK):
         err = errno.EACCES

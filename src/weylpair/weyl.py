@@ -326,22 +326,20 @@ def commutator(a: DiffOp, b: DiffOp) -> DiffOp:
     return op_mul(a, b) - op_mul(b, a)
 
 
+def d_left(coeffs: list[Poly]) -> list[Poly]:
+    """D∘A, A = sum_o coeffs[o] D^o: entry o is a_(o-1) + a_o' (Leibniz)."""
+    z = Poly.zero()
+    return [p + c.diff("x") for p, c in zip([z, *coeffs], [*coeffs, z])]
+
+
 def adjoint(a: DiffOp) -> DiffOp:
-    """Formal adjoint sum_i (-1)^i D^i ∘ c_i, expanded to canonical form."""
-    if a.is_zero():
-        return DiffOp.zero()
-    n = a.order()
-    out = [Poly.zero()] * (n + 1)
-    for i, ci in enumerate(a.coeffs):
-        if ci.is_zero():
-            continue
-        sign = -1 if i % 2 else 1
-        dk = ci
-        for k in range(i + 1):
-            term = dk * (sign * math.comb(i, k))
-            out[i - k] = out[i - k] + term
-            dk = dk.diff("x")
-    return DiffOp(out)
+    """Formal adjoint sum_i (-1)^i D^i ∘ c_i by Horner's rule: R <- D∘R +
+    (-1)^i c_i from the top coefficient down, one d_left step each."""
+    r: list[Poly] = []
+    for i in range(a.order(), -1, -1):
+        r = d_left(r)
+        r[0] += -a.coeffs[i] if i % 2 else a.coeffs[i]
+    return DiffOp(r)
 
 
 def is_self_adjoint(a: DiffOp) -> bool:

@@ -421,7 +421,8 @@ def test_construct_stdout_matches_benchmark_refs(capsys, monkeypatch):
 
 @pytest.mark.parametrize("target,reason",
                          [("missing/x.json", "No such file or directory"),
-                          ("", "Is a directory")])
+                          ("", "Is a directory"),
+                          ("file/x.json", "Not a directory")])
 @pytest.mark.parametrize("command", ["construct", "verify"])
 def test_unwritable_out_fails_before_any_work(command, target, reason,
                                               tmp_path, monkeypatch, capsys):
@@ -429,6 +430,7 @@ def test_unwritable_out_fails_before_any_work(command, target, reason,
         raise AssertionError("build_pair called")
 
     monkeypatch.setattr(pairs, "build_pair", build_pair)
+    (tmp_path / "file").write_text("")  # a regular file, not a directory
     path = tmp_path / target
     code, out, err = run_cli([command, "--genus", "1", "--out", str(path)],
                              capsys)

@@ -627,12 +627,71 @@ def test_read_back_agrees_with_certificates(g, params):
             ("M+L^1/3", (True, False)), ("M+x^1", (False, False))} <= seen
 
 
+def refuse(*args):
+    raise AssertionError("formed on the read-back path")
+
+
+# every name through which an operator product is formed
+PRODUCTS = ((weyl, "op_mul"), (pairs, "op_mul"), (weyl, "_exchange"))
+
+
+@pytest.mark.parametrize("g,params", READ_BACK_POINTS)
+def test_read_back_forms_no_operator_product(g, params, monkeypatch):
+    # read_back_q divides by D^k∘L from Leibniz steps, so it never runs
+    # the kernel that built M
+    pair = build_pair(g, params)
+    for module, name in PRODUCTS:
+        monkeypatch.setattr(module, name, refuse)
+    assert read_back_q(pair.m, pair.q) == pair.q.q
+
+
+def _drop_rows(kernel):
+    """kernel with the rows k >= 1, those of b^(k), dropped."""
+    return lambda a, rows, *rest: kernel(a, rows[:1], *rest)
+
+
+def _double_row_one(kernel):
+    """_exchange with the row of b' taken twice."""
+    def broken(a, rows, den):
+        rows = list(rows)
+        if len(rows) > 1:
+            rows[1] = [{key: 2 * c for key, c in t.items()} for t in rows[1]]
+        return kernel(a, rows, den)
+    return broken
+
+
+BROKEN_KERNELS = (
+    [pytest.param("_exchange", brk, g, params, failed,
+                  id=f"exchange-{brk.__name__[1:]}-{label}")
+     for brk, failed in ((_drop_rows, set()),
+                         (_double_row_one, {"commutation"}))
+     for g, params, label in ((1, {}, "symbolic-g1"), (2, {}, "symbolic-g2"),
+                              (3, SLICE, "slice-g3"))]
+    + [pytest.param("_compose", _drop_rows, g,
+                    {"a0": 2, "a1": Rat(3, 4), "a2": 3, "a3": 1}, set(),
+                    id=f"compose-drop_rows-numeric-g{g}") for g in (2, 4)])
+
+
+@pytest.mark.parametrize("kernel,brk,g,params,failed", BROKEN_KERNELS)
+def test_broken_product_kernel_fails_verify(kernel, brk, g, params, failed,
+                                            monkeypatch):
+    # a product kernel broken for build_pair and verify_pair together must
+    # not be divided back out: the read-back and M* are formed by Leibniz
+    # steps, and the x^0 square certificate of numeric pairs runs on
+    # _exchange, not on the packed _compose
+    monkeypatch.setattr(weyl, kernel, brk(getattr(weyl, kernel)))
+    checks = verify_pair(build_pair(g, params), 1)
+    assert {c["name"] for c in checks if c["pass"] is False} \
+        == {"square_identity", "self_adjoint_m"} | failed
+
+
 @pytest.mark.parametrize("g,params", [(2, {}), (3, SLICE)])
 def test_symbolic_verify_forms_no_bracket_and_no_square(g, params,
                                                         monkeypatch):
     # with a parameter, [L, M] = 0 and M^2 = F(L) are read off M's
-    # digits: no bracket, no x^0 square, and adjoint(L) once per run; M*
-    # in full only where the premise M^2 = F(L) fails (E != 0 or c_0 + 1)
+    # digits: no bracket, no x^0 square, no operator product, and
+    # adjoint(L) once per run; M* in full only where the premise
+    # M^2 = F(L) fails (E != 0 or c_0 + 1)
     pair = build_pair(g, params)
     qp, f = pair.q, pair.curve.coeffs
     bent = qp._replace(q=qp.q + x * Poly.var("z", g - 1))
@@ -641,14 +700,13 @@ def test_symbolic_verify_forms_no_bracket_and_no_square(g, params,
                  coeffs=(f[0] + 1, *f[1:]))), (True, False)),
              (pair._replace(m=build_companion(bent, pair.l4)),
               (False, False))]
-
-    def refuse(*args):
-        raise AssertionError("formed on the read-back path")
     adjoints = []
     adjoint = weyl.adjoint
     monkeypatch.setattr(weyl, "commutator", refuse)
     monkeypatch.setattr(pairs, "commutator", refuse)
     monkeypatch.setattr(pairs, "x0_of_product", refuse)
+    for module, name in PRODUCTS:
+        monkeypatch.setattr(module, name, refuse)
     monkeypatch.setattr(weyl, "adjoint",
                         lambda a: adjoints.append(a) or adjoint(a))
     for case, verdicts in cases:

@@ -1,5 +1,7 @@
 """The committed developer tools run from a checkout."""
 
+import compileall
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -81,6 +83,26 @@ def test_ab_launch_times_failed_checks():
         capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
     assert len(run.stdout.splitlines()) == 2
+
+
+@pytest.mark.parametrize("cached", [0, 1], ids=["base", "new"])
+def test_ab_launch_refuses_bytecode_in_one_tree(tmp_path, cached):
+    # one side would load cached bytecode while the other compiles on
+    # every launch: refused before anything is launched, naming the tree
+    trees = []
+    for name in ("a", "b"):
+        trees.append(str(tmp_path / name))
+        shutil.copytree(ROOT / "src", trees[-1],
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    assert compileall.compile_dir(Path(trees[cached]) / "weylpair",
+                                  quiet=1)
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab_launch.py"), *trees,
+         "--rounds", "1", "--", "construct", "--genus", "1"],
+        capture_output=True, text=True, timeout=60)
+    assert run.returncode == 2 and run.stdout == ""
+    assert run.stderr == (f"{trees[cached]} alone holds weylpair/__pycache__;"
+                          " remove it or cache both trees\n")
 
 
 def _tree(root: Path, value: int) -> str:

@@ -23,9 +23,9 @@ X = DiffOp.from_poly(x)
 H = DiffOp([x**3 + a0, Poly.zero(), Poly.one()])  # D^2 + x^3 + a0
 
 
-def random_op(rng, max_order=3, max_deg=3) -> DiffOp:
+def random_op(rng, max_order=3, max_deg=3, vars=("x",)) -> DiffOp:
     n = rng.randint(0, max_order)
-    return DiffOp([random_poly(rng, vars=("x",), max_exp=max_deg, n_terms=3)
+    return DiffOp([random_poly(rng, vars=vars, max_exp=max_deg, n_terms=3)
                    for _ in range(n + 1)])
 
 
@@ -109,6 +109,31 @@ def test_adjoint_involution_and_antihomomorphism(rng):
         b = random_op(rng)
         assert adjoint(adjoint(a)) == a
         assert adjoint(op_mul(a, b)) == op_mul(adjoint(b), adjoint(a))
+
+
+def binomial_adjoint(a: DiffOp) -> DiffOp:
+    """sum_i (-1)^i D^i∘c_i expanded by D^i∘c = sum_k C(i,k) c^(k) D^(i-k):
+    the former body of adjoint, kept as its oracle."""
+    out = [Poly.zero()] * len(a.coeffs)
+    for i, ci in enumerate(a.coeffs):
+        dk = ci
+        for k in range(i + 1):
+            out[i - k] += dk * ((-1) ** i * math.comb(i, k))
+            dk = dk.diff("x")
+    return DiffOp(out)
+
+
+@pytest.mark.parametrize("vars", [("x",), ("x", "a0", "a1")],
+                         ids=["x-only", "parameters"])
+def test_leibniz_step_and_adjoint_match_oracles(rng, vars):
+    # d_left(A) is D∘A, and adjoint's Horner steps on it give the binomial
+    # expansion of sum_i (-1)^i D^i∘c_i
+    for _ in range(200):
+        a = random_op(rng, max_order=5, vars=vars)
+        step = weyl.d_left(a.coeffs)
+        assert len(step) == len(a.coeffs) + 1
+        assert DiffOp(step) == op_mul(D, a)
+        assert adjoint(a) == binomial_adjoint(a)
 
 
 def test_jacobi_identity(rng):

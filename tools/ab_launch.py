@@ -6,11 +6,13 @@
 Each round launches `python -m weylpair.cli ARGV` once per tree, in
 alternating order, with the tree on PYTHONPATH and the caller's
 environment otherwise (so PYTHONDONTWRITEBYTECODE, if set, makes every
-launch compile the tree).  Both launches must exit alike with the same
-stdout, and with 0 (every check passed) or 1 (a check failed).  Any other
-code, such as the CLI's 2 (usage or parameter error) or 3 (internal
-error), would time an error path, so it stops the run with exit 1 and is
-named on stderr.  It prints each side's median wall time and peak RSS,
+launch compile a tree that holds no bytecode cache).  If exactly one tree
+holds weylpair/__pycache__, one side would load cached bytecode and the
+other compile: the run stops at once with exit 2 and names that tree.
+Both launches must exit alike with the same stdout, and with 0 (every
+check passed) or 1 (a check failed).  Any other code, such as the CLI's
+2 (usage or parameter error) or 3 (internal error), would time an error
+path, so it stops the run with exit 1 and is named on stderr.  It prints each side's median wall time and peak RSS,
 the base's IQR, the ratio new/base and the rounds in which the new side
 was faster: the launch cost that tools/ab_inprocess.py cannot see.
 """
@@ -53,6 +55,12 @@ def main(argv=None) -> int:
     ap.add_argument("argv", nargs="+", help="the weylpair command line")
     opts = ap.parse_args(argv)
     srcs = (opts.base, opts.new)
+    cached = [os.path.isdir(os.path.join(s, "weylpair", "__pycache__"))
+              for s in srcs]
+    if cached[0] != cached[1]:
+        print(f"{srcs[cached.index(True)]} alone holds weylpair/__pycache__; "
+              f"remove it or cache both trees", file=sys.stderr)
+        return 2
     times: tuple[list, list] = ([], [])
     rss: tuple[list, list] = ([], [])
     for r in range(opts.rounds):
