@@ -72,7 +72,8 @@ one certificate, formed once:
                           M of even order, else M* - M formed in full
     commutation           E(Q~) = 0, formed for Q~ = read_back_q(M) even
                           where Q~ = Q, if a parameter occurs, L is normal
-                          and Q~ is found; else [L, M] = 0 (pair.bracket)
+                          and Q~ is found; else [L, M] = 0 (pair.bracket,
+                          on weyl._exchange, not the kernel that built M)
     square_identity       that and rhs(*)(Q~)/4 = F on Q~'s x = 0 jet; else
                           [L, M] = 0 and X(M^2) = X(F(L)) (x0_of_product)
     curve_nonsingular     disc_z F != 0, where no parameter occurs

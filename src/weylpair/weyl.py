@@ -131,40 +131,17 @@ def op_mul(a: DiffOp, b: DiffOp) -> DiffOp:
     of a nonzero product is order(a) + order(b).  Equivalently, in symbol
     calculus a∘b = sum_k A_k * b^(k), where A_k = sum_i C(i,k) a_i D^(i-k)
     and b^(k) is b with every coefficient differentiated k times in x.
-
-    When every coefficient of both operands involves x alone (the case
-    after numeric parameters are bound), the product is computed exactly
-    in integers by Kronecker substitution, one coefficient at a time: the
-    numerators of each operand are brought over its one lcm denominator,
-    and each a_i and each b_j^(k) is packed into one big int, its value at
-    x = 2^w.  Packing is a ring map, so (a∘b)_o = sum C(i,k) a_i b_j^(k)
-    over i + j - k = o costs one int multiply per nonzero (i, j, k), and
-    each order is unpacked once, over Da*Db, into signed w-bit digits.
-    Slot d of a_i * b_j^(k) is at most |a_i|_1 * |b_j^(k)|_inf, so each
-    slot of order o is at most S_o, that sum over the norms; w is the
-    least multiple of 8 with 2^(w-1) > max_o S_o, so every digit is read
-    back exactly.  Operands with symbolic parameters take _exchange, the
-    term loop that x0_of_product shares.
+    Every product runs _exchange, the term loop that commutator and
+    x0_of_product share; the packed kernel serves poly_of_products alone.
     """
-    if a.is_zero() or b.is_zero():
-        return DiffOp.zero()
-    ax = _x_nums(a)
-    bx = _x_nums(b) if ax is not None else None
-    if bx is None:
-        return DiffOp(_op_mul_terms(a, b))
-    return DiffOp(_op_mul_kronecker([[], ax], bx, len(ax)))
+    return DiffOp(_op_mul_terms(a, b))
 
 
 def _x_nums(op: DiffOp) -> list[tuple[dict, int]] | None:
-    """Per-order ({x-degree: numerator}, den), or None once a parameter
+    """Per-order ({x-degree: numerator}, den), or None where a parameter
     occurs."""
-    out = []
-    for c in op.coeffs:
-        t = c.x_nums()
-        if t is None:
-            return None
-        out.append(t)
-    return out
+    out = [c.x_nums() for c in op.coeffs]
+    return None if None in out else out
 
 
 def _scaled(nums: dict, f: int) -> dict:
@@ -172,10 +149,11 @@ def _scaled(nums: dict, f: int) -> dict:
     return nums if f == 1 else {k: c * f for k, c in nums.items()}
 
 
-def _exchange(a: list[dict], rows: list[list[dict]], den: int) -> list[Poly]:
-    """The term loop of the exchange rule, shared by op_mul and
-    x0_of_product: entry o of the result is the sum of
-    C(i,k) * a[i] * rows[k][j] over i + j - k = o, over den.
+def _exchange(a: list[dict], rows: list[list[dict]], den: int,
+              k0: int = 0) -> list[Poly]:
+    """The term loop of the exchange rule, shared by op_mul, commutator
+    and x0_of_product: entry o of the result is the sum of
+    C(i,k) * a[i] * rows[k][j] over i + j - k = o and k >= k0, over den.
 
     a[i] and rows[k][j] are {monomial key: int numerator} dicts, rows[k]
     holds one dict per order j of the right operand, and den is the
@@ -190,7 +168,7 @@ def _exchange(a: list[dict], rows: list[list[dict]], den: int) -> list[Poly]:
     for i, ai in enumerate(a):
         if not ai:
             continue
-        for k in range(min(i + 1, nk)):
+        for k in range(k0, min(i + 1, nk)):
             f = math.comb(i, k)
             fa = [(k1, f * c1) for k1, c1 in ai.items()]
             for j, bjk in enumerate(rows[k]):
@@ -203,10 +181,12 @@ def _exchange(a: list[dict], rows: list[list[dict]], den: int) -> list[Poly]:
     return [Poly.from_nums(dict(t), den) for t in out]
 
 
-def _op_mul_terms(a: DiffOp, b: DiffOp) -> list[Poly]:
-    """a∘b over any coefficient ring: _exchange on the numerators of a_i
-    and of b_j^(k), k <= ord(a).  Every x-derivative of b_j has a
-    denominator dividing b_j's."""
+def _op_mul_terms(a: DiffOp, b: DiffOp, k0: int = 0) -> list[Poly]:
+    """a∘b over any coefficient ring, its rows k < k0 left out: _exchange
+    on the numerators of a_i and of b_j^(k), k <= ord(a).  Every
+    x-derivative of b_j has a denominator dividing b_j's."""
+    if a.is_zero() or b.is_zero():
+        return []
     da = math.lcm(*(c.den for c in a.coeffs))
     db = math.lcm(*(c.den for c in b.coeffs))
     rows = []
@@ -216,7 +196,7 @@ def _op_mul_terms(a: DiffOp, b: DiffOp) -> list[Poly]:
             bk = [c.diff("x") for c in bk]
         rows.append([_scaled(c.terms, db // c.den) for c in bk])
     return _exchange([_scaled(c.terms, da // c.den) for c in a.coeffs],
-                     rows, da * db)
+                     rows, da * db, k0)
 
 
 def x0_of_product(a: DiffOp, b: DiffOp) -> list[Poly]:
@@ -242,13 +222,12 @@ def _pack(slots: dict, w: int) -> int:
     return sum(v << (w * s) for s, v in slots.items())
 
 
-def _rows(cols: list[dict], kn, val) -> list[list[tuple[int, int]]]:
-    """rows[k] = [(j, val(b_j^(k))) for nonzero b_j^(k)], k < kn."""
+def _rows(cols: list[dict], val) -> list[list[tuple[int, int]]]:
+    """rows[k] = [(j, val(b_j^(k))) for nonzero b_j^(k)] while any."""
     rows = []
-    while len(rows) < kn and any(cols):
+    while any(cols):
         rows.append([(j, val(t)) for j, t in enumerate(cols) if t])
-        if len(rows) < kn:
-            cols = [{d - 1: c * d for d, c in t.items() if d} for t in cols]
+        cols = [{d - 1: c * d for d, c in t.items() if d} for t in cols]
     return rows
 
 
@@ -285,26 +264,25 @@ def _horner(blocks: list[list[dict]], step, do: int, val) -> list:
 
 
 def _op_mul_kronecker(blocks: list[list[tuple[dict, int]]],
-                      ox: list[tuple[dict, int]], kn,
-                      chains=None) -> list[Poly]:
-    """sum_j blocks[j] op^j for x-only operands as _x_nums gives them,
-    reading op^(k) for k < kn; op_mul explains the packing.  Steps apply
-    op, or the products in chains that sum to op, each over the product
-    q of its factors' denominators and taken do/q times, do = lcm(q)."""
+                      ox: list[tuple[dict, int]], chains) -> list[Poly]:
+    """sum_j blocks[j] op^j for x-only operands as _x_nums gives them;
+    poly_of_products explains the packing.  Steps apply the products in
+    chains that sum to op, each over the product q of its factors'
+    denominators and taken do/q times, do = lcm(q)."""
     dc = math.lcm(*(d for b in blocks for _, d in b))
     ci = [[_scaled(t, dc // d) for t, d in b] for b in blocks]
     chains = [[(a, math.lcm(*(d for _, d in a))) for a in c]
-              for c in chains or [[ox]]]
+              for c in chains]
     dens = [math.prod(d for _, d in c) for c in chains]
     do = math.lcm(*dens)
     oi = [_scaled(t, do // d) for t, d in ox]
     fold = max if len(blocks) == 2 else sum  # |.|_inf suffices for 1 step
-    rows = _rows(oi, kn, lambda t: fold(map(abs, t.values())))
+    rows = _rows(oi, lambda t: fold(map(abs, t.values())))
     bound = max(_horner(ci, [(1, [rows])], do,
                         lambda t: sum(map(abs, t.values()))), default=0)
     wb = (bound.bit_length() + 8) // 8
     pack = lambda t: _pack(t, 8 * wb)
-    step = [(do // q, [_rows([_scaled(t, d // dt) for t, dt in a], kn, pack)
+    step = [(do // q, [_rows([_scaled(t, d // dt) for t, dt in a], pack)
                        for a, d in c]) for q, c in zip(dens, chains)]
     acc = _horner(ci, step, do, pack)
     # a nonzero digit d makes |total| >= 2^(8*wb*d - 1), so d < n
@@ -323,7 +301,9 @@ def _op_mul_kronecker(blocks: list[list[tuple[dict, int]]],
 
 
 def commutator(a: DiffOp, b: DiffOp) -> DiffOp:
-    return op_mul(a, b) - op_mul(b, a)
+    """[a, b] = a∘b - b∘a on the term loop from row 1: the row-0 terms
+    a_i b_j D^(i+j) occur in both products and cancel."""
+    return DiffOp(_op_mul_terms(a, b, 1)) - DiffOp(_op_mul_terms(b, a, 1))
 
 
 def d_left(coeffs: list[Poly]) -> list[Poly]:
@@ -355,12 +335,8 @@ def poly_of_op(c: list[Poly | DiffOp], op: DiffOp) -> DiffOp:
     eigenfunction with eigenvalue z, Poly coefficients evaluate
     sum_j c_j(x) z^j.
 
-    When op and every c_j involve x alone, Horner's rule runs on the
-    packed ints of op_mul, over Dc*Do^g (Dc, Do: the lcm denominators of
-    the c_j and of op).  Packing is a ring map, so only the sum is
-    unpacked and only its digits must fit the slots; L1 norms carried
-    through the steps, |(R∘op)_o|_1 <= sum C(i,k) |r_i|_1 |op_j^(k)|_1
-    plus |c_j|_1, scaled alike, bound them, and w is taken from that.
+    When op and every c_j involve x alone, Horner's rule runs on packed
+    ints; poly_of_products has the proof.
     """
     return poly_of_products(c, op, [[op]])
 
@@ -369,7 +345,29 @@ def poly_of_products(c: list[Poly | DiffOp], op: DiffOp,
                      products: list[list[DiffOp]]) -> DiffOp:
     """poly_of_op(c, op) for op = sum A∘B∘... over the lists of nonzero
     factors [A, B, ...] in products.  Packed steps apply the factors (fewer
-    multiplies) and op bounds the slots; with parameters, steps are R∘op."""
+    multiplies) and op bounds the slots; with parameters, steps are R∘op
+    on op_mul's term loop.
+
+    The packing of one step a∘b, poly_of_op([0, a], b): when every
+    coefficient of both operands involves x alone (the case after numeric
+    parameters are bound), the product is computed exactly in integers by
+    Kronecker substitution, one coefficient at a time: the numerators of
+    each operand are brought over its one lcm denominator, and each a_i
+    and each b_j^(k) is packed into one big int, its value at x = 2^w.
+    Packing is a ring map, so (a∘b)_o = sum C(i,k) a_i b_j^(k) over
+    i + j - k = o costs one int multiply per nonzero (i, j, k), and each
+    order is unpacked once, over Da*Db, into signed w-bit digits.  Slot d
+    of a_i * b_j^(k) is at most |a_i|_1 * |b_j^(k)|_inf, so each slot of
+    order o is at most S_o, that sum over the norms; w is the least
+    multiple of 8 with 2^(w-1) > max_o S_o, so every digit is read back
+    exactly.
+
+    The whole of Horner's rule runs on the packed ints, over Dc*Do^g (Dc,
+    Do: the lcm denominators of the c_j and of op), and only the sum is
+    unpacked, so only its digits must fit the slots; L1 norms carried
+    through the steps, |(R∘op)_o|_1 <= sum C(i,k) |r_i|_1 |op_j^(k)|_1
+    plus |c_j|_1, scaled alike, bound them, and w is taken from that.
+    """
     blocks = [cj if isinstance(cj, DiffOp) else DiffOp([cj]) for cj in c]
     ox = _x_nums(op)
     cx = [_x_nums(b) for b in blocks] if ox else [None]
@@ -379,4 +377,4 @@ def poly_of_products(c: list[Poly | DiffOp], op: DiffOp,
         for b in reversed(blocks):
             result = op_mul(result, op) + b
         return result
-    return DiffOp(_op_mul_kronecker(cx, ox, math.inf, px))
+    return DiffOp(_op_mul_kronecker(cx, ox, px))

@@ -6,7 +6,7 @@ import sympy
 
 from weylpair.curve import SpectralCurve
 from weylpair.poly import VARS, Poly, Rat
-from weylpair.weyl import DiffOp
+from weylpair.weyl import DiffOp, poly_of_op
 
 
 @pytest.fixture
@@ -23,6 +23,13 @@ def monomial(coeff, exps: dict) -> Poly:
 def deriv(n: int = 1) -> DiffOp:
     """The pure derivative D^n."""
     return DiffOp([Poly.zero()] * n + [Poly.one()])
+
+
+def packed_mul(a: DiffOp, b: DiffOp) -> DiffOp:
+    """a∘b as poly_of_op([0, a], b): for x-only operands, one step of the
+    packed Kronecker kernel with blocks [0, a] and the one-step slot width
+    (fold = max), so it shares no kernel with op_mul's term loop."""
+    return poly_of_op([Poly.zero(), a], b)
 
 
 def apply_to(op: DiffOp, f: Poly) -> Poly:

@@ -8,13 +8,13 @@ import sympy
 
 from weylpair import pairs, weyl
 from weylpair.pairs import build_pair
-from weylpair.poly import Poly, Rat
+from weylpair.poly import VARS, Poly, Rat
 from weylpair.reference import anticommutator
 from weylpair.weyl import (DiffOp, adjoint, commutator, is_self_adjoint,
                            op_mul, poly_of_op, poly_of_products)
 
-from conftest import (apply_to, deriv, monomial, op_from_json, random_poly,
-                      x_poly)
+from conftest import (apply_to, deriv, monomial, op_from_json, packed_mul,
+                      random_poly, x_poly)
 
 x = Poly.var("x")
 a0 = Poly.var("a0")
@@ -299,7 +299,7 @@ def test_kronecker_matches_schoolbook_random(bits):
         for na, nb in ((n, rng.randint(0, 8)), (rng.randint(0, 8), n)):
             a = random_x_op(rng, na, bits)
             b = random_x_op(rng, nb, bits)
-            assert op_mul(a, b) == schoolbook_op_mul(a, b), (na, nb)
+            assert packed_mul(a, b) == schoolbook_op_mul(a, b), (na, nb)
 
 
 def test_kronecker_slot_boundaries():
@@ -315,12 +315,12 @@ def test_kronecker_slot_boundaries():
                     {d: Rat(sign_a * mag) for d in range(4)})] * 4)
                 b = DiffOp([x_poly(
                     {d: Rat(sign_b * mag, 3) for d in range(6)})] * 5)
-                assert op_mul(a, b) == schoolbook_op_mul(a, b)
-                assert op_mul(b, a) == schoolbook_op_mul(b, a)
+                assert packed_mul(a, b) == schoolbook_op_mul(a, b)
+                assert packed_mul(b, a) == schoolbook_op_mul(b, a)
         c = random_x_op(rng, 8, 8, zero_frac=0.5)
         big = DiffOp([x_poly({0: Rat(-mag, mag + 2)})])
-        assert op_mul(big, c) == schoolbook_op_mul(big, c)
-        assert op_mul(c, big) == schoolbook_op_mul(c, big)
+        assert packed_mul(big, c) == schoolbook_op_mul(big, c)
+        assert packed_mul(c, big) == schoolbook_op_mul(c, big)
 
 
 def test_kronecker_slot_width_at_its_bound():
@@ -339,7 +339,7 @@ def test_kronecker_slot_width_at_its_bound():
         for e in range(8):
             c = sign << e
             a = DiffOp([Poly.zero()] * n + [Poly.rat(c)])
-            prod = op_mul(a, b)
+            prod = packed_mul(a, b)
             assert prod == schoolbook_op_mul(a, b), c
             assert (prod.coeff(n).coeff_in("x", 0).const_value()
                     == c * math.factorial(m) * 2**n)
@@ -374,7 +374,7 @@ def test_kronecker_matches_schoolbook_construct_shapes(monkeypatch):
     flat = x_op(rng, [0, None, 0, 0, None, 0], 90)
     for a, b in ((r, ell), (ell, r), (ell, mixed), (mixed, ell),
                  (r, mixed), (flat, r), (flat, mixed), (mixed, flat)):
-        assert op_mul(a, b) == schoolbook_op_mul(a, b)
+        assert packed_mul(a, b) == schoolbook_op_mul(a, b)
 
 
 def test_kronecker_zero_and_identity_operands():
@@ -382,14 +382,14 @@ def test_kronecker_zero_and_identity_operands():
     one = DiffOp.identity()
     for order in (0, 3, 8):
         a = random_x_op(rng, order, 70)
-        assert op_mul(a, DiffOp.zero()).is_zero()
-        assert op_mul(DiffOp.zero(), a).is_zero()
-        assert op_mul(a, one) == a
-        assert op_mul(one, a) == a
-        assert op_mul(-a, a) == -schoolbook_op_mul(a, a)
-    assert op_mul(one, one) == one
+        assert packed_mul(a, DiffOp.zero()).is_zero()
+        assert packed_mul(DiffOp.zero(), a).is_zero()
+        assert packed_mul(a, one) == a
+        assert packed_mul(one, a) == a
+        assert packed_mul(-a, a) == -schoolbook_op_mul(a, a)
+    assert packed_mul(one, one) == one
     # pure derivatives: constant coefficients, x-degree zero throughout
-    assert op_mul(deriv(3), deriv(5)) == deriv(8)
+    assert packed_mul(deriv(3), deriv(5)) == deriv(8)
 
 
 def test_kronecker_matches_sympy_application():
@@ -409,7 +409,7 @@ def test_kronecker_matches_sympy_application():
     for na, nb in ((1, 1), (3, 2), (2, 4), (4, 3)):
         a = random_x_op(rng, na, 40, max_deg=3)
         b = random_x_op(rng, nb, 40, max_deg=3)
-        lhs = apply(op_mul(a, b), f)
+        lhs = apply(packed_mul(a, b), f)
         rhs = apply(a, apply(b, f))
         assert sympy.expand(lhs - rhs) == 0
 
@@ -432,20 +432,25 @@ def test_parameter_operands_take_term_loop(monkeypatch):
             assert op_mul(b, a) == schoolbook_op_mul(b, a)
 
 
-def test_x_only_operands_take_kernel(monkeypatch):
-    forbid(monkeypatch, "_op_mul_terms")
-    a = random_x_op(random.Random(4), 5, 70)
-    assert op_mul(a, a) == schoolbook_op_mul(a, a)
-
-
-def test_numeric_pair_products_take_kernel(monkeypatch):
-    # construct and the commutation certificate on numeric parameters
-    # must run every product through the kernel, not the term loop
-    forbid(monkeypatch, "_op_mul_terms")
+def test_numeric_build_packs_and_bracket_runs_term_loop(monkeypatch):
+    # numeric build_pair sums M on the packed kernel; [L, M] and x-only
+    # op_mul run _exchange and never the kernel or its _compose, so the
+    # commutation certificate shares no kernel with what built M
+    calls = spy_kernel(monkeypatch)
     pair = build_pair(6, {"a0": Rat(2), "a1": Rat(3, 4), "a2": Rat(3),
                           "a3": Rat(1)})
-    assert pair.m.order() == 26
+    assert pair.m.order() == 26 and len(calls) == 1
+    forbid(monkeypatch, "_op_mul_kronecker")
+    forbid(monkeypatch, "_compose")
+    rows_from = []
+    exchange = weyl._exchange
+    monkeypatch.setattr(weyl, "_exchange", lambda *args: rows_from.append(
+        args[3:]) or exchange(*args))
     assert pair.bracket.is_zero()
+    assert rows_from == [(1,), (1,)]
+    a = random_x_op(random.Random(4), 5, 70)
+    assert op_mul(a, a) == schoolbook_op_mul(a, a)
+    assert rows_from[2:] == [(0,)]
 
 
 @pytest.mark.parametrize("path,other", [("kernel", Poly.one()), ("terms", a0)])
@@ -457,7 +462,7 @@ def test_product_denominators_cancel_completely(monkeypatch, path, other):
     a = DiffOp([Rat(3, 2) * x, Poly.rat(Rat(3, 2))])
     b = DiffOp([Rat(2, 3) * (x + other)])
     assert a.coeff(0).den == 2 and b.coeff(0).den == 3
-    prod = op_mul(a, b)
+    prod = (packed_mul if path == "kernel" else op_mul)(a, b)
     assert prod == DiffOp([x**2 + other * x + 1, x + other])
     assert all(c.den == 1 for c in prod.coeffs)
 
@@ -486,6 +491,70 @@ def test_term_loop_matches_schoolbook_random(monkeypatch):
         b = random_param_op(rng, nb, 64)
         assert op_mul(a, b) == schoolbook_op_mul(a, b)
         assert op_mul(a, -a) == -schoolbook_op_mul(a, a)
+
+
+# -- the bracket against both products and against application ------------
+
+JET_VARS = [v for v in VARS if v != "z"]
+
+
+def jet_apply(op: DiffOp, expr):
+    """op(expr) for expr in a sympy ring over x, the parameters and the
+    jet f0, f1, ... of an undetermined f: D is d/dx with f_k' = f_(k+1)."""
+    r = expr.ring
+    x, fs = r.gens[0], r.gens[len(JET_VARS):]
+    out = r.zero
+    for c in op.coeffs:
+        out += r.from_dict({
+            tuple(e for v, e in zip(VARS, es) if v != "z") + (0,) * len(fs):
+            sympy.QQ(q.numerator, q.denominator)
+            for es, q in c.sorted_terms()}) * expr
+        expr = expr.diff(x) + sum((expr.diff(f) * f1
+                                   for f, f1 in zip(fs, fs[1:])), r.zero)
+    return out
+
+
+def bracket_cases(kind: str) -> list[tuple[DiffOp, DiffOp]]:
+    """Operand pairs: random x-only or parameter operators, zero, identity
+    and order-0 operands, or (L, M) at numeric genus g for pair-g."""
+    rng = random.Random(36)
+    if kind == "x-only":
+        return [(random_x_op(rng, na, 70, zero_frac=0.4),
+                 random_x_op(rng, nb, 70, zero_frac=0.4))
+                for na, nb in ((1, 1), (4, 2), (2, 6), (7, 3), (5, 5))]
+    if kind == "parameters":
+        return [(random_param_op(rng, na, 40), random_param_op(rng, nb, 40))
+                for na, nb in ((0, 3), (2, 2), (3, 1), (4, 4))] + [
+                    (H, random_x_op(rng, 3, 40))]
+    if kind == "degenerate":
+        a = random_param_op(rng, 3, 20)
+        order0 = DiffOp([x**2 + a0])
+        return [(a, DiffOp.zero()), (DiffOp.zero(), a),
+                (DiffOp.zero(), DiffOp.zero()), (a, DiffOp.identity()),
+                (DiffOp.identity(), a), (order0, a), (a, order0),
+                (order0, DiffOp([x * a0])), (D, X), (X, D)]
+    pair = build_pair(int(kind[6:]), {"a0": 2, "a1": Rat(3, 4), "a2": 3,
+                                      "a3": 1})
+    return [(pair.l4, pair.m), (pair.m, pair.l4)]
+
+
+@pytest.mark.parametrize("kind", ["x-only", "parameters", "degenerate"]
+                         + [f"pair-g{g}" for g in (1, 2, 3, 4)])
+def test_bracket_matches_products_and_application(kind):
+    # the bracket leaves out the row-0 terms a_i b_j of the exchange
+    # rule; it must still equal a∘b - b∘a, and applied to an undetermined
+    # f in sympy, a(b(f)) - b(a(f))
+    for a, b in bracket_cases(kind):
+        c = commutator(a, b)
+        assert c == op_mul(a, b) - op_mul(b, a)
+        _, *gens = sympy.polys.rings.ring(
+            JET_VARS + [f"f{k}" for k in range(a.order() + b.order() + 3)],
+            sympy.QQ)
+        f = gens[len(JET_VARS)]
+        assert jet_apply(c, f) == (jet_apply(a, jet_apply(b, f))
+                                   - jet_apply(b, jet_apply(a, f)))
+        if kind.startswith("pair"):
+            assert c.is_zero()
 
 
 def x0_parts(a: DiffOp, b: DiffOp) -> list[Poly]:
@@ -606,20 +675,20 @@ def slot_bound_cases():
 
 
 def test_parameter_operands_skip_packed_horner(monkeypatch):
-    # an op with a parameter, or a top block with one, makes every Horner
-    # step a product with a parameter, so no kernel call at all; with a
-    # parameter in a lower block only, the kernel runs op_mul's single
-    # products (blocks [0, a]), never the whole sum
+    # a parameter in op or in any block, even a lower one only, makes the
+    # Horner steps op_mul's term loop, so no kernel call at all; a single
+    # x-only product a∘h reaches the kernel only as poly_of_op([0, a], h),
+    # blocks [0, a]
     rng = random.Random(22)
     a = random_x_op(rng, 2, 20)
     h = random_x_op(rng, 3, 20)
     calls = spy_kernel(monkeypatch)
-    for blocks, op in (([a, x, a], H), ([a, a0 * x, DiffOp([a0, x])], h)):
+    for blocks, op in (([a, x, a], H), ([a, a0 * x, DiffOp([a0, x])], h),
+                       ([a, DiffOp([a0 * x, Poly.one()]), a, a], h)):
         assert poly_of_op(blocks, op) == stepwise_poly_of_op(blocks, op)
         assert calls == []
-    blocks = [a, DiffOp([a0 * x, Poly.one()]), a, a]
-    assert poly_of_op(blocks, h) == stepwise_poly_of_op(blocks, h)
-    assert calls and all(len(b) == 2 and not b[0] for b in calls)
+    assert packed_mul(a, h) == op_mul(a, h)
+    assert len(calls) == 1 and len(calls[0]) == 2 and not calls[0][0]
 
 
 def test_build_companion_decodes_m_once(monkeypatch):
@@ -650,13 +719,13 @@ def factored_quartic(v: Poly, w: Poly) -> tuple[DiffOp, list]:
 
 
 def spy_chains(monkeypatch) -> list:
-    """Record the products every kernel call steps by (None: op itself)."""
+    """Record the products every kernel call steps by."""
     calls = []
     kernel = weyl._op_mul_kronecker
 
-    def spy(blocks, ox, kn, chains=None):
+    def spy(blocks, ox, chains):
         calls.append(chains)
-        return kernel(blocks, ox, kn, chains)
+        return kernel(blocks, ox, chains)
 
     monkeypatch.setattr(weyl, "_op_mul_kronecker", spy)
     return calls
@@ -696,14 +765,14 @@ def test_factored_step_matches_stepwise_random(monkeypatch):
 
 def test_factored_step_with_parameters_steps_by_op(monkeypatch):
     # a parameter in V makes every step R∘L on the term loop: the kernel
-    # never sees the products
+    # never runs
     calls = spy_chains(monkeypatch)
     rng = random.Random(25)
     l4, products = factored_quartic(x**3 + a0, 7 * x)
     blocks = [random_x_op(rng, 2, 20) for _ in range(3)] + [Poly.one()]
     assert (poly_of_products(blocks, l4, products)
             == stepwise_poly_of_op(blocks, l4))
-    assert all(c is None for c in calls)
+    assert calls == []
 
 
 @pytest.mark.parametrize("products", [
