@@ -432,6 +432,23 @@ def test_parameter_operands_take_term_loop(monkeypatch):
             assert op_mul(b, a) == schoolbook_op_mul(b, a)
 
 
+def test_x_only_operands_take_kernel(monkeypatch):
+    # the packed product of x-only operands never falls back to the
+    # term loop
+    forbid(monkeypatch, "_op_mul_terms")
+    a = random_x_op(random.Random(4), 5, 70)
+    assert packed_mul(a, a) == schoolbook_op_mul(a, a)
+
+
+def test_numeric_pair_products_take_kernel(monkeypatch):
+    # construct on numeric parameters must run every product of M
+    # through the kernel, not the term loop
+    forbid(monkeypatch, "_op_mul_terms")
+    pair = build_pair(6, {"a0": Rat(2), "a1": Rat(3, 4), "a2": Rat(3),
+                          "a3": Rat(1)})
+    assert pair.m.order() == 26
+
+
 def test_numeric_build_packs_and_bracket_runs_term_loop(monkeypatch):
     # numeric build_pair sums M on the packed kernel; [L, M] and x-only
     # op_mul run _exchange and never the kernel or its _compose, so the
