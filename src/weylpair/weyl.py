@@ -276,10 +276,8 @@ def _op_mul_kronecker(blocks: list[list[tuple[dict, int]]],
     dens = [math.prod(d for _, d in c) for c in chains]
     do = math.lcm(*dens)
     oi = [_scaled(t, do // d) for t, d in ox]
-    fold = max if len(blocks) == 2 else sum  # |.|_inf suffices for 1 step
-    rows = _rows(oi, lambda t: fold(map(abs, t.values())))
-    bound = max(_horner(ci, [(1, [rows])], do,
-                        lambda t: sum(map(abs, t.values()))), default=0)
+    norm = lambda t: sum(map(abs, t.values()))  # the L1 norm
+    bound = max(_horner(ci, [(1, [_rows(oi, norm)])], do, norm), default=0)
     wb = (bound.bit_length() + 8) // 8
     pack = lambda t: _pack(t, 8 * wb)
     step = [(do // q, [_rows([_scaled(t, d // dt) for t, dt in a], pack)
@@ -310,6 +308,20 @@ def d_left(coeffs: list[Poly]) -> list[Poly]:
     """D∘A, A = sum_o coeffs[o] D^o: entry o is a_(o-1) + a_o' (Leibniz)."""
     z = Poly.zero()
     return [p + c.diff("x") for p, c in zip([z, *coeffs], [*coeffs, z])]
+
+
+def leibniz_mul(a: DiffOp, b: DiffOp) -> DiffOp:
+    """a∘b = sum_i a_i (D^i∘b), each D^i∘b one d_left step from the last:
+    Leibniz steps and coefficient products, no exchange-rule row."""
+    out: list[Poly] = []
+    dib = b.coeffs
+    for i, ai in enumerate(a.coeffs):
+        if i:
+            dib = d_left(dib)
+        out += [Poly.zero()] * (len(dib) - len(out))
+        for o, t in enumerate(dib):
+            out[o] += ai * t
+    return DiffOp(out)
 
 
 def adjoint(a: DiffOp) -> DiffOp:
@@ -348,25 +360,24 @@ def poly_of_products(c: list[Poly | DiffOp], op: DiffOp,
     multiplies) and op bounds the slots; with parameters, steps are R∘op
     on op_mul's term loop.
 
-    The packing of one step a∘b, poly_of_op([0, a], b): when every
-    coefficient of both operands involves x alone (the case after numeric
-    parameters are bound), the product is computed exactly in integers by
-    Kronecker substitution, one coefficient at a time: the numerators of
-    each operand are brought over its one lcm denominator, and each a_i
-    and each b_j^(k) is packed into one big int, its value at x = 2^w.
-    Packing is a ring map, so (a∘b)_o = sum C(i,k) a_i b_j^(k) over
-    i + j - k = o costs one int multiply per nonzero (i, j, k), and each
-    order is unpacked once, over Da*Db, into signed w-bit digits.  Slot d
-    of a_i * b_j^(k) is at most |a_i|_1 * |b_j^(k)|_inf, so each slot of
-    order o is at most S_o, that sum over the norms; w is the least
-    multiple of 8 with 2^(w-1) > max_o S_o, so every digit is read back
-    exactly.
+    The packing.  When op and every c_j involve x alone (the case after
+    numeric parameters are bound), the sum is computed exactly in
+    integers by Kronecker substitution: the numerators of the c_j and of
+    op are brought over their lcm denominators Dc and Do, and each
+    coefficient c_j,i and each x-derivative op_j^(k) is packed into one
+    big int, its value at x = 2^w.  Packing is a ring map, so a step
+    (R∘op)_o = sum C(i,k) r_i op_j^(k) over i + j - k = o costs one int
+    multiply per nonzero (i, j, k).  The whole of Horner's rule runs on
+    the packed ints, over Dc*Do^g, and only the sum is unpacked, once per
+    order, into signed w-bit digits, so only its digits must fit the
+    slots.
 
-    The whole of Horner's rule runs on the packed ints, over Dc*Do^g (Dc,
-    Do: the lcm denominators of the c_j and of op), and only the sum is
-    unpacked, so only its digits must fit the slots; L1 norms carried
-    through the steps, |(R∘op)_o|_1 <= sum C(i,k) |r_i|_1 |op_j^(k)|_1
-    plus |c_j|_1, scaled alike, bound them, and w is taken from that.
+    The slot rule, one for any number of steps.  No coefficient of a
+    polynomial exceeds its L1 norm |.|_1 in size, and |p*q|_1 <= |p|_1
+    |q|_1, so L1 norms carried through the steps, |(R∘op)_o|_1 <= sum
+    C(i,k) |r_i|_1 |op_j^(k)|_1 plus |c_j|_1, scaled alike, bound every
+    digit of the sum.  w is the least multiple of 8 with 2^(w-1) above
+    the largest bound, so every digit is read back exactly.
     """
     blocks = [cj if isinstance(cj, DiffOp) else DiffOp([cj]) for cj in c]
     ox = _x_nums(op)

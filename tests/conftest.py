@@ -27,8 +27,8 @@ def deriv(n: int = 1) -> DiffOp:
 
 def packed_mul(a: DiffOp, b: DiffOp) -> DiffOp:
     """a∘b as poly_of_op([0, a], b): for x-only operands, one step of the
-    packed Kronecker kernel with blocks [0, a] and the one-step slot width
-    (fold = max), so it shares no kernel with op_mul's term loop."""
+    packed Kronecker kernel with blocks [0, a], so it shares no kernel
+    with op_mul's term loop."""
     return poly_of_op([Poly.zero(), a], b)
 
 

@@ -7,8 +7,10 @@ an unwritable --out load only cli and errors, and neither fractions nor
 decimal.  Each command then loads an exact set of weylpair modules:
 construct and symbolic verify load cli, curve, errors, pairs, poly,
 qsolver and weyl; numeric verify adds numeric, and examples adds
-reference.  No command loads curvefun or series."""
+reference.  No command loads curvefun or series.  The package imports
+only the standard library and itself."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -23,6 +25,22 @@ def python(*args):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def test_src_imports_only_the_standard_library():
+    # pyproject.toml declares no dependencies: every import in the package
+    # is relative or names a standard-library module
+    for path in sorted((SRC / "weylpair").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in sys.stdlib_module_names, \
+                    (path.name, name)
 
 
 def test_cli_import_skips_dataclasses_inspect_and_json():

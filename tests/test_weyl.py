@@ -11,7 +11,7 @@ from weylpair.pairs import build_pair
 from weylpair.poly import VARS, Poly, Rat
 from weylpair.reference import anticommutator
 from weylpair.weyl import (DiffOp, adjoint, commutator, is_self_adjoint,
-                           op_mul, poly_of_op, poly_of_products)
+                           leibniz_mul, op_mul, poly_of_op, poly_of_products)
 
 from conftest import (apply_to, deriv, monomial, op_from_json, packed_mul,
                       random_poly, x_poly)
@@ -324,25 +324,24 @@ def test_kronecker_slot_boundaries():
 
 
 def test_kronecker_slot_width_at_its_bound():
-    # a = c*D^n and b_j = sum_d (m!/d!) x^d for j <= n: every b^(k) peaks
-    # at m! on x^0, so the x^0 coefficient of D^n in the product is
-    # c*m!*2^n, exactly the bound sum_k (sum_i C(i,k) |a_i|_1) *
-    # max_j |b_j^(k)|_inf the slot width is taken from.
-    # Scaling c through 2^0..2^7 moves that bound across every byte
-    # alignment, so a width one bit short, or a bound that drops any k,
-    # misreads the slot.
-    n = m = 8
-    bj = x_poly({d: Rat(math.factorial(m) // math.factorial(d))
-                 for d in range(m + 1)})
-    b = DiffOp([bj] * (n + 1))
-    for sign in (1, -1):
-        for e in range(8):
-            c = sign << e
-            a = DiffOp([Poly.zero()] * n + [Poly.rat(c)])
-            prod = packed_mul(a, b)
-            assert prod == schoolbook_op_mul(a, b), c
-            assert (prod.coeff(n).coeff_in("x", 0).const_value()
-                    == c * math.factorial(m) * 2**n)
+    # a = D^2 and b = p0 + p1 x D + p2 x^2 D^2 have monomial coefficients
+    # and every b_j^(k) is a monomial, so the L1 bound of D^2 in a∘b is
+    # exact: its one slot, x^0, is p0 + 2 p1 + 2 p2 = T from the rows
+    # k = 0, 1 and 2, with the three parts of one sign, and D^3 and D^4
+    # hold less.  T = 2^(w-1) - 1 is the largest digit a w-bit slot holds
+    # and T = 2^(w-1) needs the next width, so a width one byte short, or
+    # a bound that drops any k, misreads the slot.
+    a = deriv(2)
+    for nbytes in range(1, 6):
+        for top in ((1 << (8 * nbytes - 1)) - 1, 1 << (8 * nbytes - 1)):
+            for sign in (1, -1):
+                t = sign * top
+                p1, p2 = t // 5, t // 7
+                b = DiffOp([Rat(t - 2 * p1 - 2 * p2), Rat(p1) * x,
+                            Rat(p2) * x**2])
+                prod = packed_mul(a, b)
+                assert prod == schoolbook_op_mul(a, b), t
+                assert prod.coeff(2) == Poly.rat(t), t
 
 
 def x_op(rng, degrees, bits) -> DiffOp:
@@ -559,11 +558,13 @@ def bracket_cases(kind: str) -> list[tuple[DiffOp, DiffOp]]:
                          + [f"pair-g{g}" for g in (1, 2, 3, 4)])
 def test_bracket_matches_products_and_application(kind):
     # the bracket leaves out the row-0 terms a_i b_j of the exchange
-    # rule; it must still equal a∘b - b∘a, and applied to an undetermined
-    # f in sympy, a(b(f)) - b(a(f))
+    # rule, and the Leibniz bracket forms each D^i∘b by d_left steps; both
+    # must equal a∘b - b∘a, and applied to an undetermined f in sympy,
+    # a(b(f)) - b(a(f))
     for a, b in bracket_cases(kind):
         c = commutator(a, b)
-        assert c == op_mul(a, b) - op_mul(b, a)
+        assert c == op_mul(a, b) - op_mul(b, a) \
+            == leibniz_mul(a, b) - leibniz_mul(b, a)
         _, *gens = sympy.polys.rings.ring(
             JET_VARS + [f"f{k}" for k in range(a.order() + b.order() + 3)],
             sympy.QQ)
