@@ -42,7 +42,7 @@ def _vanishes_at_a_root(q: Poly, p: Poly) -> bool:
     return shares_root(q, p, "z")
 
 
-def _x_slices(qp: QPolynomial, x0: Rat, n: int = 3,
+def _x_slices(qp: QPolynomial, x0: Rat, n: int,
               distinct: bool = False) -> list[Poly]:
     """Q and its first n x-derivatives at x = x0, as polynomials in z.
     With distinct, raises MultipleRootError when disc_z Q(x0, .) = 0 (a

@@ -216,7 +216,7 @@ def _pole_data(jet: dict[str, list[complex]], v_x0: float, gamma: complex,
 def _jet(qp, curve, x0) -> tuple[dict[str, list[complex]], float]:
     """Complex coefficients of the derivatives of Q (at x0) and F that
     _pole_data reads, and V(x0)."""
-    q, qx, qxx, qxxx = _x_slices(qp, Rat(x0))
+    q, qx, qxx, qxxx = _x_slices(qp, Rat(x0), 3)
     f = curve.as_poly()
     polys = {"qz": q.diff("z"), "qzz": q.diff("z").diff("z"),
              "qx": qx, "qxz": qx.diff("z"), "qxx": qxx,

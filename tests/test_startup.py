@@ -123,6 +123,32 @@ def test_a3_zero_is_rejected_before_any_layer_loads(alpha):
     assert proc.stderr == "parameter error: a3 must be nonzero\n"
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--series-order", "10"), ("--tol-root", "1e-12"),
+    ("--tol-recovery", "1e-8"), ("--tol-krichever", "1e-6")])
+def test_verify_rejects_the_removed_flags_before_any_layer_loads(flag,
+                                                                 value):
+    # every check is exact and no expansion runs: verify has no tolerance
+    # or series order to set
+    argv = ["verify", "--genus", "2", *NUMERIC, flag, value]
+    assert weylpair_modules(imported(*argv, code=2)) == FRONT
+    proc = python("-m", "weylpair.cli", *argv)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert f"unrecognized arguments: {flag} {value}\n" in proc.stderr
+
+
+def test_verify_namespace_holds_what_the_replay_reads():
+    # bench/replay.py parses `verify --genus G [--alpha A]` and reads these
+    # attributes as parser defaults
+    from weylpair.cli import build_parser
+    args = build_parser().parse_args(["verify", "--genus", "2"])
+    assert {k: getattr(args, k) for k in (
+        "series_order", "tol_root", "tol_recovery", "tol_krichever",
+        "samples")} == {"series_order": None, "tol_root": 1e-12,
+                        "tol_recovery": 1e-8, "tol_krichever": 1e-6,
+                        "samples": 3}
+
+
 def test_cli_import_exposes_what_the_replay_imports():
     # bench/replay.py runs `from weylpair.cli import INTERNAL_ERRORS,
     # build_parser`; both resolve with no math module loaded
